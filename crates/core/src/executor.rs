@@ -128,9 +128,13 @@ impl Executor {
         let mut throttled = false;
         let mut fatal_signals = 0u64;
         let mut blocked_time = Usecs::ZERO;
+        // One return-value buffer for the whole window: after the first
+        // execution the loop allocates nothing.
+        let mut retvals = Vec::with_capacity(program.len());
 
         loop {
-            let once = match self.step(kernel, engine, table, program, executions == 0) {
+            let first = executions == 0;
+            let once = match self.step(kernel, engine, table, program, first, &mut retvals) {
                 Ok(once) => once,
                 // A transient runtime exec error ends this executor's window
                 // early; what ran so far is still a valid partial report.
@@ -171,17 +175,20 @@ impl Executor {
     }
 
     /// Execute the program exactly once (one Algorithm 1 iteration: serial
-    /// pass, optional collider pass, fd cleanup).
+    /// pass, optional collider pass, fd cleanup). `retvals` is the caller's
+    /// buffer for the serial pass's return values, reused across
+    /// executions.
     ///
     /// # Errors
     /// Engine errors other than crashes (which are reported in the step).
-    pub fn step(
+    fn step(
         &self,
         kernel: &mut Kernel,
         engine: &Engine,
         table: &[SyscallDesc],
         program: &Program,
         collect_coverage: bool,
+        retvals: &mut Vec<i64>,
     ) -> Result<StepReport, EngineError> {
         // Lock this executor's container stripe once for the whole
         // iteration; parallel workers contend only when they drive the
@@ -222,15 +229,15 @@ impl Executor {
         let mut duration = glue_user + glue_system + ipc_wait;
         let mut blocked = ipc_wait;
         let mut fatal_signals = 0u64;
-        let mut retvals: Vec<i64> = Vec::with_capacity(program.len());
+        retvals.clear();
         let mut coverage = ProgramCoverage::default();
 
         for call in &program.calls {
-            let req = request(table, call, &retvals);
+            let req = request(table, call, retvals);
             let exec = engine.exec_locked(kernel, &mut container, req, ExecEnv::default())?;
             retvals.push(exec.outcome.retval);
             if collect_coverage {
-                coverage.per_call.push(exec.outcome.coverage.clone());
+                coverage.per_call.push(exec.outcome.coverage.to_vec());
             }
             duration += exec.outcome.user + exec.outcome.system + exec.outcome.blocked;
             blocked += exec.outcome.blocked;
@@ -266,7 +273,7 @@ impl Executor {
         // Collider pass: re-run the calls concurrently on sibling threads.
         if self.collider {
             for call in &program.calls {
-                let req = request(table, call, &retvals);
+                let req = request(table, call, retvals);
                 let exec =
                     engine.exec_locked(kernel, &mut container, req, ExecEnv { collider: true })?;
                 duration += exec.outcome.user + exec.outcome.system + exec.outcome.blocked;
@@ -306,7 +313,7 @@ impl Executor {
 
 /// Result of one program iteration.
 #[derive(Debug, Clone)]
-pub struct StepReport {
+struct StepReport {
     /// Total virtual time the iteration took (on-CPU + blocked).
     pub duration: Usecs,
     /// Off-CPU portion.

@@ -9,9 +9,8 @@
 //! "work caused" and "work charged" is what the deferral ledger
 //! ([`crate::deferral`]) records.
 
-use std::collections::HashMap;
-
 use crate::time::Usecs;
+use crate::IdMap;
 
 /// Identifier of a control group. The root cgroup is always id 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -42,6 +41,11 @@ pub struct Cgroup {
     parent: Option<CgroupId>,
     name: String,
     limits: CgroupLimits,
+    /// The effective CPU quota ([`CgroupTree::effective_cpu_quota`]),
+    /// computed once at creation: limits never change afterwards, and a
+    /// group with children cannot be removed, so no ancestor changes
+    /// under it.
+    effective_quota: Option<f64>,
     /// CPU time charged to this cgroup in the current accounting window.
     charged_cpu: Usecs,
     /// Bytes of memory currently charged.
@@ -102,6 +106,9 @@ pub enum CgroupError {
     NoSuchGroup(CgroupId),
     /// Attempted to give the root group a parent or remove it.
     RootIsImmutable,
+    /// Attempted to remove a group that still has children (`rmdir(2)`
+    /// answers `EBUSY`).
+    Busy(CgroupId),
     /// The memory controller rejected a charge (limit would be exceeded).
     MemoryLimitExceeded {
         /// Group whose limit was hit.
@@ -118,6 +125,7 @@ impl std::fmt::Display for CgroupError {
         match self {
             CgroupError::NoSuchGroup(id) => write!(f, "no such cgroup: {:?}", id),
             CgroupError::RootIsImmutable => write!(f, "the root cgroup cannot be modified"),
+            CgroupError::Busy(id) => write!(f, "cgroup {:?} still has children", id),
             CgroupError::MemoryLimitExceeded {
                 group,
                 limit,
@@ -136,7 +144,7 @@ impl std::error::Error for CgroupError {}
 /// The cgroup hierarchy (a simplified `cgroupfs`).
 #[derive(Debug, Clone)]
 pub struct CgroupTree {
-    groups: HashMap<CgroupId, Cgroup>,
+    groups: IdMap<CgroupId, Cgroup>,
     next_id: u32,
 }
 
@@ -146,7 +154,7 @@ impl CgroupTree {
 
     /// Create a tree containing only the unrestricted root group.
     pub fn new() -> CgroupTree {
-        let mut groups = HashMap::new();
+        let mut groups = IdMap::default();
         groups.insert(
             Self::ROOT,
             Cgroup {
@@ -154,6 +162,7 @@ impl CgroupTree {
                 parent: None,
                 name: "/".to_string(),
                 limits: CgroupLimits::default(),
+                effective_quota: None,
                 charged_cpu: Usecs::ZERO,
                 charged_memory: 0,
                 charged_io_bytes: 0,
@@ -173,9 +182,15 @@ impl CgroupTree {
         name: &str,
         limits: CgroupLimits,
     ) -> Result<CgroupId, CgroupError> {
-        if !self.groups.contains_key(&parent) {
-            return Err(CgroupError::NoSuchGroup(parent));
-        }
+        let inherited = self
+            .groups
+            .get(&parent)
+            .ok_or(CgroupError::NoSuchGroup(parent))?
+            .effective_quota;
+        let effective_quota = match (limits.cpu_quota_cores, inherited) {
+            (Some(own), Some(above)) => Some(own.min(above)),
+            (own, above) => own.or(above),
+        };
         let id = CgroupId(self.next_id);
         self.next_id += 1;
         self.groups.insert(
@@ -185,6 +200,7 @@ impl CgroupTree {
                 parent: Some(parent),
                 name: name.to_string(),
                 limits,
+                effective_quota,
                 charged_cpu: Usecs::ZERO,
                 charged_memory: 0,
                 charged_io_bytes: 0,
@@ -194,14 +210,18 @@ impl CgroupTree {
         Ok(id)
     }
 
-    /// Remove a (leaf) group. The root cannot be removed.
+    /// Remove a leaf group. The root cannot be removed.
     ///
     /// # Errors
     /// [`CgroupError::RootIsImmutable`] for the root,
+    /// [`CgroupError::Busy`] while the group has children,
     /// [`CgroupError::NoSuchGroup`] if absent.
     pub fn remove(&mut self, id: CgroupId) -> Result<(), CgroupError> {
         if id == Self::ROOT {
             return Err(CgroupError::RootIsImmutable);
+        }
+        if self.groups.values().any(|g| g.parent == Some(id)) {
+            return Err(CgroupError::Busy(id));
         }
         self.groups
             .remove(&id)
@@ -244,20 +264,9 @@ impl CgroupTree {
     }
 
     /// The *effective* CPU quota in cores: the minimum along the ancestor
-    /// chain, or `None` if unconstrained everywhere.
+    /// chain, or `None` if unconstrained everywhere (or `id` is unknown).
     pub fn effective_cpu_quota(&self, id: CgroupId) -> Option<f64> {
-        let mut quota: Option<f64> = None;
-        let mut cur = self.groups.get(&id);
-        while let Some(g) = cur {
-            if let Some(q) = g.limits.cpu_quota_cores {
-                quota = Some(match quota {
-                    Some(existing) => existing.min(q),
-                    None => q,
-                });
-            }
-            cur = g.parent.and_then(|p| self.groups.get(&p));
-        }
-        quota
+        self.groups.get(&id)?.effective_quota
     }
 
     /// Charge CPU time to `id` (tracking function of the CPU controller).
@@ -326,10 +335,9 @@ impl CgroupTree {
     ///
     /// Returns `None` when the group is unconstrained.
     pub fn remaining_cpu_budget(&self, id: CgroupId, window: Usecs) -> Option<Usecs> {
-        let quota = self.effective_cpu_quota(id)?;
-        let budget = window.scale(quota);
-        let used = self.groups.get(&id).map_or(Usecs::ZERO, |g| g.charged_cpu);
-        Some(budget.saturating_sub(used))
+        let g = self.groups.get(&id)?;
+        let budget = window.scale(g.effective_quota?);
+        Some(budget.saturating_sub(g.charged_cpu))
     }
 
     /// Reset the per-window charge counters (CPU and block-I/O) on every
@@ -516,5 +524,24 @@ mod tests {
         t.remove(id).unwrap();
         assert_eq!(t.len(), 1);
         assert_eq!(t.remove(id), Err(CgroupError::NoSuchGroup(id)));
+    }
+
+    #[test]
+    fn remove_refuses_a_group_with_children() {
+        let (mut t, parent) = tree_with_child(CgroupLimits {
+            cpu_quota_cores: Some(0.5),
+            cpuset: Some(vec![1]),
+            ..CgroupLimits::default()
+        });
+        let child = t
+            .create(parent, "docker/test/inner", CgroupLimits::default())
+            .unwrap();
+        assert_eq!(t.remove(parent), Err(CgroupError::Busy(parent)));
+        // The child keeps its ancestor's limits.
+        assert_eq!(t.effective_cpu_quota(child), Some(0.5));
+        assert_eq!(t.effective_cpuset(child), Some(vec![1]));
+        t.remove(child).unwrap();
+        t.remove(parent).unwrap();
+        assert!(t.is_empty());
     }
 }

@@ -6,18 +6,20 @@
 //! machinery those handlers charge against, including the work-deferral
 //! paths that let cost escape a container's cgroup (§2.4.3 of the paper).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use torpedo_rng::rngs::StdRng;
 use torpedo_rng::{Rng, SeedableRng};
+use torpedo_telemetry::wire::FnvBuildHasher;
 
 use crate::cgroup::{CgroupId, CgroupTree};
 use crate::cpu::{CpuCategory, CpuTimes};
 use crate::deferral::{DeferralChannel, DeferralEvent, DeferralLedger};
-use crate::net::{NetState, Socket};
+use crate::net::NetState;
 use crate::process::{DaemonKind, HelperKind, KthreadKind, Pid, ProcessKind, ProcessTable};
 use crate::time::Usecs;
 use crate::vfs::{FdTable, Vfs};
+use crate::IdMap;
 
 /// How coverage feedback is produced (§3.1.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -132,8 +134,7 @@ pub struct Kernel {
     pub net: NetState,
     /// Well-known boot-time processes.
     pub boot: BootProcs,
-    sockets: Vec<Socket>,
-    fd_tables: HashMap<Pid, FdTable>,
+    fd_tables: IdMap<Pid, FdTable>,
     ledger: DeferralLedger,
     round: Option<RoundState>,
     /// Recycled per-core buffer from the previous round, so
@@ -143,7 +144,7 @@ pub struct Kernel {
     rng: StdRng,
     /// Pids that performed block I/O this round, with their cores: the
     /// victims a `sync(2)` makes wait.
-    io_active: HashSet<(Pid, usize)>,
+    io_active: HashSet<(Pid, usize), FnvBuildHasher>,
     rounds_completed: u64,
     /// Cores reserved for container cpusets this round: deferred work and
     /// background daemons avoid them, as the host scheduler would.
@@ -221,14 +222,13 @@ impl Kernel {
                 kworkers,
                 ksoftirqd,
             },
-            sockets: Vec::new(),
-            fd_tables: HashMap::new(),
+            fd_tables: IdMap::default(),
             ledger: DeferralLedger::new(),
             round: None,
             round_scratch: Vec::new(),
             cumulative: vec![CpuTimes::default(); cores],
             rng: StdRng::seed_from_u64(noise_seed),
-            io_active: HashSet::new(),
+            io_active: HashSet::default(),
             rounds_completed: 0,
             reserved_cores: Vec::new(),
         }
@@ -262,17 +262,6 @@ impl Kernel {
     /// Drop per-process state at process teardown.
     pub fn release_process_state(&mut self, pid: Pid) {
         self.fd_tables.remove(&pid);
-    }
-
-    /// Register a socket object, returning its table index.
-    pub(crate) fn register_socket(&mut self, sock: Socket) -> usize {
-        self.sockets.push(sock);
-        self.sockets.len() - 1
-    }
-
-    /// Look up a socket by table index.
-    pub(crate) fn socket(&self, index: usize) -> Option<&Socket> {
-        self.sockets.get(index)
     }
 
     /// Declare the cores reserved for container cpusets: deferred work and
@@ -538,14 +527,15 @@ impl Kernel {
     /// where a flow's NAPI completions keep firing (key = cgroup — the IRQ
     /// affinity outlives any one sender process).
     pub fn stable_victim_core(&self, key: u32, exclude: &[usize]) -> usize {
-        let candidates: Vec<usize> = (0..self.config.cores)
-            .filter(|c| !exclude.contains(c) && !self.reserved_cores.contains(c))
-            .collect();
-        if candidates.is_empty() {
-            return (key as usize).wrapping_mul(2654435761) % self.config.cores;
+        let mut candidates = (0..self.config.cores)
+            .filter(|c| !exclude.contains(c) && !self.reserved_cores.contains(c));
+        let spread = (key as usize).wrapping_mul(2654435761);
+        match candidates.clone().count() {
+            0 => spread % self.config.cores,
+            n => candidates
+                .nth(spread % n)
+                .expect("the index is below the count"),
         }
-        let idx = (key as usize).wrapping_mul(2654435761) % candidates.len();
-        candidates[idx]
     }
 
     /// Pick the most-idle core **outside** `exclude` (the cpuset of the
@@ -555,22 +545,20 @@ impl Kernel {
     pub fn pick_victim_core(&self, exclude: &[usize]) -> usize {
         let round = self.round.as_ref();
         let remaining = |core: usize| round.map_or(Usecs(u64::MAX / 4), |r| r.remaining(core));
-        let candidates: Vec<usize> = (0..self.config.cores)
-            .filter(|c| !exclude.contains(c) && !self.reserved_cores.contains(c))
-            .collect();
-        let pool: Vec<usize> = if candidates.is_empty() {
-            let relaxed: Vec<usize> = (0..self.config.cores)
-                .filter(|c| !exclude.contains(c))
-                .collect();
-            if relaxed.is_empty() {
-                (0..self.config.cores).collect()
-            } else {
-                relaxed
-            }
+        let outside = |c: &usize| !exclude.contains(c);
+        let unreserved = |c: &usize| outside(c) && !self.reserved_cores.contains(c);
+        // The pool: unreserved cores outside the cpuset, else any core
+        // outside it, else every core.
+        let cores = 0..self.config.cores;
+        let in_pool: &dyn Fn(&usize) -> bool = if cores.clone().any(|c| unreserved(&c)) {
+            &unreserved
+        } else if cores.clone().any(|c| outside(&c)) {
+            &outside
         } else {
-            candidates
+            &|_| true
         };
-        pool.into_iter()
+        cores
+            .filter(|c| in_pool(c))
             .max_by_key(|&c| (remaining(c), std::cmp::Reverse(c)))
             .unwrap_or(0) // a zero-core config has no victim to pick
     }

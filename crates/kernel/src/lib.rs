@@ -52,7 +52,14 @@ pub use lsm::{MacDecision, MacProfile, MacRule};
 pub use process::{DaemonKind, HelperKind, KthreadKind, Pid, ProcessKind};
 pub use signal::Signal;
 pub use syscalls::{
-    dispatch, fallback_signal, nr_of, ExecContext, ExecPolicy, SyscallOutcome, SyscallRequest,
-    NR_UNKNOWN, SYSCALL_TABLE,
+    dispatch, fallback_signal, nr_of, ExecContext, ExecPolicy, Signals, SyscallOutcome,
+    SyscallRequest, NR_UNKNOWN, SYSCALL_TABLE,
 };
 pub use time::Usecs;
+
+/// A map keyed by an integer id the kernel assigns itself (pid, cgroup id,
+/// fd). These maps sit on the per-syscall path, so they hash with FNV-1a
+/// rather than std's SipHash; maps keyed by strings that programs choose
+/// keep the default hasher (DESIGN.md §5b).
+pub(crate) type IdMap<K, V> =
+    std::collections::HashMap<K, V, torpedo_telemetry::wire::FnvBuildHasher>;

@@ -8,10 +8,9 @@
 //! paper observes, `top` cannot attribute their usage, while the per-core
 //! `/proc/stat` counters still see it.
 
-use std::collections::HashMap;
-
 use crate::cgroup::CgroupId;
 use crate::time::Usecs;
+use crate::IdMap;
 
 /// Process identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -175,7 +174,7 @@ impl Process {
 /// The process table.
 #[derive(Debug, Clone, Default)]
 pub struct ProcessTable {
-    procs: HashMap<Pid, Process>,
+    procs: IdMap<Pid, Process>,
     next_pid: u32,
 }
 
@@ -183,7 +182,7 @@ impl ProcessTable {
     /// Create an empty table. PIDs start at 1 (`init` is implicit).
     pub fn new() -> ProcessTable {
         ProcessTable {
-            procs: HashMap::new(),
+            procs: IdMap::default(),
             next_pid: 1,
         }
     }

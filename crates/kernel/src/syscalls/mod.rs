@@ -121,6 +121,41 @@ impl<'a> SyscallRequest<'a> {
     }
 }
 
+/// The coverage signals of one call, stored inline: in kcov mode the
+/// handler's branch-label signal, then the fallback signal; otherwise the
+/// fallback signal alone. Dereferences to `&[u64]`, and producing it
+/// allocates nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Signals {
+    len: u8,
+    /// Slots past `len` stay zero, so the derived equality is the
+    /// equality of the signal slices.
+    sigs: [u64; 2],
+}
+
+impl Signals {
+    /// The set holding only `sig`.
+    pub fn one(sig: u64) -> Signals {
+        Signals {
+            len: 1,
+            sigs: [sig, 0],
+        }
+    }
+
+    fn push(&mut self, sig: u64) {
+        self.sigs[usize::from(self.len)] = sig;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Signals {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.sigs[..usize::from(self.len)]
+    }
+}
+
 /// The observable outcome of one syscall execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SyscallOutcome {
@@ -137,7 +172,7 @@ pub struct SyscallOutcome {
     /// Off-CPU time the caller spent blocked.
     pub blocked: Usecs,
     /// Coverage signal(s) produced by this call.
-    pub coverage: Vec<u64>,
+    pub coverage: Signals,
     /// True when the caller's cgroup quota is exhausted: the call did not
     /// run and the executor should stop consuming this round.
     pub throttled: bool,
@@ -152,8 +187,9 @@ pub(crate) struct Sem {
     user: Usecs,
     system: Usecs,
     blocked: Usecs,
-    /// kcov-style branch labels visited.
-    trace: Vec<&'static str>,
+    /// The kcov-style branch label the handler took: every handler sets at
+    /// most one.
+    trace: Option<&'static str>,
 }
 
 impl Sem {
@@ -189,7 +225,12 @@ impl Sem {
     }
 
     pub(crate) fn branch(mut self, label: &'static str) -> Sem {
-        self.trace.push(label);
+        debug_assert!(
+            self.trace.is_none(),
+            "branch {label} after {:?}: a call takes one label",
+            self.trace
+        );
+        self.trace = Some(label);
         self
     }
 }
@@ -230,7 +271,7 @@ pub fn dispatch(kernel: &mut Kernel, ctx: &ExecContext, req: SyscallRequest<'_>)
                 user: Usecs::ZERO,
                 system: Usecs::ZERO,
                 blocked: Usecs::ZERO,
-                coverage: Vec::new(),
+                coverage: Signals::default(),
                 throttled: true,
             };
         }
@@ -290,27 +331,20 @@ pub fn dispatch(kernel: &mut Kernel, ctx: &ExecContext, req: SyscallRequest<'_>)
     }
 
     // Coverage signal.
-    let coverage = match kernel.config.coverage {
-        CoverageMode::Kcov if ctx.policy.kcov_available => {
-            let mut sigs: Vec<u64> = sem
-                .trace
-                .iter()
-                .map(|label| {
-                    fnv1a(&[
-                        nr as u64,
-                        fnv1a(&[
-                            label.len() as u64,
-                            label.as_bytes()[0] as u64,
-                            *label.as_bytes().last().unwrap_or(&0) as u64,
-                        ]),
-                    ])
-                })
-                .collect();
-            sigs.push(fallback_signal(nr, sem.errno));
-            sigs
+    let mut coverage = Signals::default();
+    if kernel.config.coverage == CoverageMode::Kcov && ctx.policy.kcov_available {
+        if let Some(label) = sem.trace {
+            coverage.push(fnv1a(&[
+                nr as u64,
+                fnv1a(&[
+                    label.len() as u64,
+                    label.as_bytes()[0] as u64,
+                    *label.as_bytes().last().unwrap_or(&0) as u64,
+                ]),
+            ]));
         }
-        _ => vec![fallback_signal(nr, sem.errno)],
-    };
+    }
+    coverage.push(fallback_signal(nr, sem.errno));
 
     SyscallOutcome {
         retval: sem.retval,
@@ -667,6 +701,48 @@ mod tests {
             SyscallRequest::new("open", [0, 0, 0, 0, 0, 0]),
         );
         assert!(out.coverage.len() > 1, "kcov adds branch signals");
+    }
+
+    /// The kcov signal of branch `label` on syscall `nr`: FNV-1a over the
+    /// number and a digest of the label's length, first and last byte.
+    fn label_signal(nr: u32, label: &str) -> u64 {
+        let bytes = label.as_bytes();
+        let digest = fnv1a(&[
+            bytes.len() as u64,
+            u64::from(bytes[0]),
+            u64::from(*bytes.last().unwrap_or(&0)),
+        ]);
+        fnv1a(&[u64::from(nr), digest])
+    }
+
+    #[test]
+    fn kcov_yields_the_label_signal_then_the_fallback_for_every_syscall() {
+        let mut digest = Fnv64::new();
+        let mut signals = 0;
+        for (name, nr) in SYSCALL_TABLE {
+            for path in [None, Some("/etc/passwd")] {
+                let mut req = SyscallRequest::new(name, [0; 6]);
+                if let Some(path) = path {
+                    req = req.with_path(0, path).with_path(1, path);
+                }
+                // The handler's label, from a kernel of its own.
+                let (mut k, ctx) = setup();
+                let label = run_handler(&mut k, &ctx, &req).trace;
+                let (mut k, ctx) = setup();
+                k.config.coverage = CoverageMode::Kcov;
+                let out = dispatch(&mut k, &ctx, req);
+                let mut want: Vec<u64> = label.map(|l| label_signal(*nr, l)).into_iter().collect();
+                want.push(fallback_signal(*nr, out.errno));
+                assert_eq!(*out.coverage, want[..], "{name} with path {path:?}");
+                for &sig in out.coverage.iter() {
+                    digest.write_u64(sig);
+                    signals += 1;
+                }
+            }
+        }
+        // Every call takes a label, and the digest pins the values.
+        assert_eq!(signals, 4 * SYSCALL_TABLE.len());
+        assert_eq!(digest.finish(), 0x98d4_5d91_09c1_3d39);
     }
 
     #[test]

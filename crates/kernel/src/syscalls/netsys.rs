@@ -9,7 +9,7 @@
 use crate::deferral::DeferralChannel;
 use crate::errno::Errno;
 use crate::kernel::Kernel;
-use crate::net::{AddressFamily, Socket, SocketOutcome};
+use crate::net::SocketOutcome;
 use crate::process::HelperKind;
 use crate::time::Usecs;
 use crate::vfs::{Fd, FdObject};
@@ -61,7 +61,7 @@ pub(crate) fn handle(
                 // families the sentry supports exist, nothing reaches the
                 // host module loader.
                 return Some(match args[0] {
-                    1 | 2 | 10 => match alloc_socket(k, ctx, args) {
+                    1 | 2 | 10 => match alloc_socket(k, ctx) {
                         Ok(sem) => sem,
                         Err(e) => Sem::err(e).cost(1, 5).branch("socket_sandbox_emfile"),
                     },
@@ -72,9 +72,9 @@ pub(crate) fn handle(
             }
             match k.net.create_socket(args[0], args[1], args[2]) {
                 SocketOutcome::Created(sock) => {
-                    let index = k.register_socket(sock);
                     let limit = nofile(k, ctx);
-                    match k.fd_table(ctx.pid).alloc(FdObject::Socket { index }, limit) {
+                    let obj = FdObject::Socket { audit: sock.audit };
+                    match k.fd_table(ctx.pid).alloc(obj, limit) {
                         Ok(fd) => Sem::ok(fd.0 as i64).cost(3, 14).branch("socket_ok"),
                         Err(e) => Sem::err(e).cost(1, 5).branch("socket_emfile"),
                     }
@@ -135,7 +135,7 @@ pub(crate) fn handle(
         }
         "bind" | "listen" | "setsockopt" | "getsockopt" | "shutdown" | "epoll_ctl" => {
             match socket_of(k, ctx, args[0]) {
-                SockRef::Socket => Sem::ok(0).cost(1, 6).branch("sockopt_ok"),
+                SockRef::Socket { .. } => Sem::ok(0).cost(1, 6).branch("sockopt_ok"),
                 SockRef::OtherFd => Sem::err(Errno::EINVAL)
                     .cost(1, 3)
                     .branch("sockopt_enotsock"),
@@ -143,7 +143,7 @@ pub(crate) fn handle(
             }
         }
         "connect" => match socket_of(k, ctx, args[0]) {
-            SockRef::Socket => Sem::err(Errno::ECONNREFUSED)
+            SockRef::Socket { .. } => Sem::err(Errno::ECONNREFUSED)
                 .cost(2, 9)
                 .block(Usecs::from_millis(1))
                 .branch("connect_refused"),
@@ -153,7 +153,7 @@ pub(crate) fn handle(
             SockRef::Bad => Sem::err(Errno::EBADF).cost(1, 2).branch("connect_ebadf"),
         },
         "accept" | "accept4" => match socket_of(k, ctx, args[0]) {
-            SockRef::Socket => Sem::err(Errno::EAGAIN)
+            SockRef::Socket { .. } => Sem::err(Errno::EAGAIN)
                 .cost(1, 5)
                 .block(Usecs::from_millis(100))
                 .branch("accept_block"),
@@ -162,12 +162,8 @@ pub(crate) fn handle(
         },
         "sendto" | "sendmsg" => {
             let len = args[2].min(64 << 10);
-            let is_audit = match fd_socket_index(k, ctx, args[0]) {
-                Some(index) => k.socket(index).is_some_and(|s| s.audit),
-                None => false,
-            };
             match socket_of(k, ctx, args[0]) {
-                SockRef::Socket => {
+                SockRef::Socket { audit: is_audit } => {
                     if is_audit && ctx.policy.host_deferrals {
                         // A userspace-crafted audit record: kauditd and
                         // journald do the processing in their own cgroups.
@@ -213,7 +209,7 @@ pub(crate) fn handle(
             }
         }
         "recvfrom" | "recvmsg" => match socket_of(k, ctx, args[0]) {
-            SockRef::Socket => Sem::err(Errno::EAGAIN)
+            SockRef::Socket { .. } => Sem::err(Errno::EAGAIN)
                 .cost(1, 5)
                 .block(Usecs::from_millis(100))
                 .branch("recv_block"),
@@ -239,23 +235,16 @@ pub(crate) fn handle(
 }
 
 enum SockRef {
-    Socket,
+    Socket { audit: bool },
     OtherFd,
     Bad,
 }
 
 fn socket_of(k: &mut Kernel, ctx: &ExecContext, fd: u64) -> SockRef {
     match k.fd_table(ctx.pid).get(Fd(fd as i32)) {
-        Some(FdObject::Socket { .. }) => SockRef::Socket,
+        Some(&FdObject::Socket { audit }) => SockRef::Socket { audit },
         Some(_) => SockRef::OtherFd,
         None => SockRef::Bad,
-    }
-}
-
-fn fd_socket_index(k: &mut Kernel, ctx: &ExecContext, fd: u64) -> Option<usize> {
-    match k.fd_table(ctx.pid).get(Fd(fd as i32)) {
-        Some(FdObject::Socket { index }) => Some(*index),
-        _ => None,
     }
 }
 
@@ -264,17 +253,10 @@ fn nofile(k: &Kernel, ctx: &ExecContext) -> u32 {
 }
 
 /// Create a sandbox-internal socket (no host module loading involved).
-fn alloc_socket(k: &mut Kernel, ctx: &ExecContext, args: [u64; 6]) -> Result<Sem, Errno> {
-    let sock = Socket {
-        family: AddressFamily::from_raw(args[0]),
-        sock_type: args[1],
-        protocol: args[2],
-        audit: false,
-    };
-    let index = k.register_socket(sock);
+fn alloc_socket(k: &mut Kernel, ctx: &ExecContext) -> Result<Sem, Errno> {
     let limit = nofile(k, ctx);
     let fd = k
         .fd_table(ctx.pid)
-        .alloc(FdObject::Socket { index }, limit)?;
+        .alloc(FdObject::Socket { audit: false }, limit)?;
     Ok(Sem::ok(fd.0 as i64).cost(3, 16).branch("socket_sandbox_ok"))
 }

@@ -6,6 +6,7 @@
 use std::collections::HashMap;
 
 use crate::errno::Errno;
+use crate::IdMap;
 
 /// File descriptor number within one process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -23,10 +24,12 @@ pub enum FdObject {
     },
     /// An inotify instance.
     Inotify,
-    /// A socket (by socket table index).
+    /// A socket. Sockets never change after creation, so the one property
+    /// a later call reads is kept in the descriptor itself (and copied by
+    /// `dup`).
     Socket {
-        /// Index into the kernel socket table.
-        index: usize,
+        /// Whether this is the netlink audit socket (`NETLINK_AUDIT`).
+        audit: bool,
     },
     /// One end of a socketpair/pipe.
     PipeEnd,
@@ -176,7 +179,7 @@ impl Default for Vfs {
 /// Per-process file-descriptor table.
 #[derive(Debug, Clone)]
 pub struct FdTable {
-    entries: HashMap<Fd, FdObject>,
+    entries: IdMap<Fd, FdObject>,
     next_fd: i32,
 }
 
@@ -190,7 +193,7 @@ impl FdTable {
     /// An empty table; fds start at 3 (0–2 are std streams).
     pub fn new() -> FdTable {
         FdTable {
-            entries: HashMap::new(),
+            entries: IdMap::default(),
             next_fd: 3,
         }
     }

@@ -5,7 +5,7 @@ use torpedo_kernel::cgroup::{CgroupLimits, CgroupTree};
 use torpedo_kernel::process::ProcessKind;
 use torpedo_kernel::signal::Signal;
 use torpedo_kernel::syscalls::{dispatch, ExecContext, ExecPolicy, SyscallOutcome};
-use torpedo_kernel::{Errno, Kernel, SyscallRequest, Usecs};
+use torpedo_kernel::{DeferralChannel, Errno, Kernel, SyscallRequest, Usecs};
 
 struct Host {
     kernel: Kernel,
@@ -407,6 +407,30 @@ fn socketpair_allocates_two_fds() {
     let before = h.kernel.fd_table(h.ctx.pid).len();
     assert!(h.call("socketpair", [1, 1, 0, 0, 0, 0]).retval >= 3);
     assert_eq!(h.kernel.fd_table(h.ctx.pid).len(), before + 2);
+}
+
+#[test]
+fn a_dup_of_the_audit_socket_keeps_the_audit_path_after_the_original_closes() {
+    let mut h = Host::new();
+    // NETLINK_AUDIT: family AF_NETLINK (16), protocol 9.
+    let audit = h.call("socket", [16, 3, 9, 0, 0, 0]).retval as u64;
+    let copy = h.call("dup", [audit, 0, 0, 0, 0, 0]).retval as u64;
+    assert_eq!(h.call("close", [audit, 0, 0, 0, 0, 0]).retval, 0);
+    let inet = h.call("socket", [2, 1, 0, 0, 0, 0]).retval as u64;
+    assert_eq!(h.call("sendto", [copy, 0, 0x24, 0, 0, 0]).retval, 0x24);
+    assert_eq!(h.call("sendto", [inet, 0, 0x24, 0, 0, 0]).retval, 0x24);
+    let channels: Vec<DeferralChannel> = h
+        .kernel
+        .finish_round(&[0])
+        .deferrals
+        .iter()
+        .map(|e| e.channel)
+        .collect();
+    assert_eq!(
+        channels,
+        [DeferralChannel::Audit, DeferralChannel::SoftIrq],
+        "the dup reaches kauditd; the ordinary socket transmits"
+    );
 }
 
 #[test]

@@ -30,7 +30,7 @@ use torpedo_kernel::errno::Errno;
 use torpedo_kernel::kernel::Kernel;
 use torpedo_kernel::process::{DaemonKind, Pid, ProcessKind};
 use torpedo_kernel::syscalls::{
-    fallback_signal, nr_of, ExecContext, SyscallOutcome, SyscallRequest,
+    fallback_signal, nr_of, ExecContext, Signals, SyscallOutcome, SyscallRequest,
 };
 use torpedo_kernel::time::Usecs;
 use torpedo_telemetry::{SpanKind, Telemetry};
@@ -99,6 +99,9 @@ pub struct Container {
     /// per-syscall path borrows it instead of rebuilding (the cpuset `Vec`
     /// allocation and runtime-policy lookup used to run once per call).
     ctx: ExecContext,
+    /// The runtime `spec.runtime` named when the container was created,
+    /// so no syscall looks it up by name.
+    runtime: Arc<dyn Runtime>,
 }
 
 impl Container {
@@ -203,7 +206,7 @@ fn lock(stripe: &Mutex<Container>) -> MutexGuard<'_, Container> {
 
 /// The container engine.
 pub struct Engine {
-    runtimes: HashMap<&'static str, Box<dyn Runtime>>,
+    runtimes: HashMap<&'static str, Arc<dyn Runtime>>,
     /// Containers behind per-container lock stripes: the exec hot path
     /// locks only the stripe of the container it drives, so concurrent
     /// executors in different containers proceed without contention.
@@ -258,9 +261,10 @@ impl Engine {
     }
 
     /// Register (or replace) a runtime implementation — the §5.2 extension
-    /// point for `crun`, patched Sentries, etc.
+    /// point for `crun`, patched Sentries, etc. Containers created before a
+    /// replacement keep the runtime they were created with.
     pub fn register_runtime(&mut self, runtime: Box<dyn Runtime>) {
-        self.runtimes.insert(runtime.name(), runtime);
+        self.runtimes.insert(runtime.name(), Arc::from(runtime));
     }
 
     /// Install a fault injector; subsequent engine I/O rolls against it.
@@ -315,6 +319,7 @@ impl Engine {
         let runtime = self
             .runtimes
             .get(spec.runtime.as_str())
+            .map(Arc::clone)
             .ok_or_else(|| EngineError::UnknownRuntime(spec.runtime.clone()))?;
         if self.containers.contains_key(&spec.name) {
             return Err(EngineError::DuplicateName(spec.name.clone()));
@@ -395,7 +400,7 @@ impl Engine {
             } else {
                 spec.cpuset.clone()
             },
-            policy: self.runtimes[spec.runtime.as_str()].policy(),
+            policy: runtime.policy(),
         };
         self.containers.insert(
             spec.name.clone(),
@@ -409,6 +414,7 @@ impl Engine {
                 namespaces,
                 uid_mapping,
                 ctx,
+                runtime,
             }),
         );
         Ok(id)
@@ -431,12 +437,9 @@ impl Engine {
 
     /// The execution policy of the runtime backing `id`.
     pub fn policy_of(&self, id: &ContainerId) -> Option<torpedo_kernel::syscalls::ExecPolicy> {
-        self.containers.get(&id.0).and_then(|stripe| {
-            let c = lock(stripe);
-            self.runtimes
-                .get(c.spec.runtime.as_str())
-                .map(|r| r.policy())
-        })
+        self.containers
+            .get(&id.0)
+            .map(|stripe| lock(stripe).runtime.policy())
     }
 
     /// Execute one syscall inside a container (no collider).
@@ -526,13 +529,7 @@ impl Engine {
                 }),
             }
         } else {
-            // Hot path: a panic here takes the whole worker thread with it,
-            // so a stale runtime name degrades to a typed error instead.
-            let runtime = self
-                .runtimes
-                .get(container.spec.runtime.as_str())
-                .ok_or_else(|| EngineError::UnknownRuntime(container.spec.runtime.clone()))?;
-            runtime.execute(kernel, &container.ctx, req, env)
+            container.runtime.execute(kernel, &container.ctx, req, env)
         };
         if let Some(crash) = &exec.crash {
             container.state = ContainerState::Crashed(crash.clone());
@@ -576,16 +573,8 @@ impl Engine {
             .ok_or_else(|| EngineError::NoSuchContainer(id.0.clone()))?
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
-        // Resolve the runtime before mutating any kernel or container state:
-        // the supervised recovery path calls restart and must see an error,
-        // not a panic, if the spec references a runtime that was never
-        // registered.
-        let runtime = self
-            .runtimes
-            .get(container.spec.runtime.as_str())
-            .ok_or_else(|| EngineError::UnknownRuntime(container.spec.runtime.clone()))?;
-        let sandboxed = matches!(runtime.kind(), crate::RuntimeKind::Sandboxed);
-        let startup = runtime.startup_cost(false);
+        let sandboxed = matches!(container.runtime.kind(), crate::RuntimeKind::Sandboxed);
+        let startup = container.runtime.startup_cost(false);
         kernel.release_process_state(container.executor_pid);
         container.executor_pid = kernel.procs.spawn(
             &format!("syz-executor-{}", container.spec.name),
@@ -663,28 +652,21 @@ impl Engine {
         // HashMap, and neither its per-instance iteration order nor lock
         // timing must leak into charge order or the deferral ledger (round
         // logs are replay-deterministic).
-        type Snap = (
-            String,
-            Vec<usize>,
-            Option<(CgroupId, Pid, usize, &'static str)>,
-        );
+        type Snap = (String, Vec<usize>, Option<(CgroupId, Pid, usize, f64)>);
         let mut snapshot: Vec<Snap> = self
             .containers
             .values()
             .map(|stripe| {
                 let c = lock(stripe);
-                let running = (c.state == ContainerState::Running)
-                    .then(|| {
-                        self.runtimes
-                            .get(c.spec.runtime.as_str())
-                            .map(|r| (c.cgroup, c.executor_pid, c.core, r.name()))
-                    })
-                    .flatten();
+                let running = (c.state == ContainerState::Running).then(|| {
+                    let standing = c.runtime.standing_overhead();
+                    (c.cgroup, c.executor_pid, c.core, standing)
+                });
                 (c.spec.name.clone(), c.spec.cpuset.clone(), running)
             })
             .collect();
         snapshot.sort_by(|a, b| a.0.cmp(&b.0));
-        let running: Vec<(CgroupId, Pid, usize, &'static str)> = snapshot
+        let running: Vec<(CgroupId, Pid, usize, f64)> = snapshot
             .iter()
             .filter_map(|(_, _, running)| *running)
             .collect();
@@ -711,7 +693,7 @@ impl Engine {
             .collect();
         let engine_core = kernel.pick_victim_core(&all_cpusets);
         let per_container = window.scale(0.004);
-        for (cgroup, pid, core, runtime_name) in &running {
+        for &(cgroup, pid, core, standing) in &running {
             kernel.charge(engine_core, CpuCategory::User, per_container, dockerd, dcg);
             kernel.charge(
                 engine_core,
@@ -724,24 +706,20 @@ impl Engine {
             // deferred kernel work the container is never charged for.
             kernel.defer_work(
                 DeferralChannel::TtyFlush,
-                *pid,
-                *cgroup,
+                pid,
+                cgroup,
                 &all_cpusets,
                 window.scale(0.002),
                 "write",
             );
             // Standing runtime overhead inside the container's own budget.
-            let standing = self
-                .runtimes
-                .get(*runtime_name)
-                .map_or(0.0, |r| r.standing_overhead());
             if standing > 0.0 {
                 kernel.charge(
-                    *core,
+                    core,
                     CpuCategory::System,
                     window.scale(standing),
-                    *pid,
-                    *cgroup,
+                    pid,
+                    cgroup,
                 );
             }
         }
@@ -757,10 +735,10 @@ fn fault_crash_outcome(name: &str) -> SyscallOutcome {
         user: Usecs(1),
         system: Usecs(4),
         blocked: Usecs::ZERO,
-        coverage: vec![fallback_signal(
+        coverage: Signals::one(fallback_signal(
             nr_of(name).unwrap_or(u32::MAX),
             Some(Errno::EIO),
-        )],
+        )),
         throttled: false,
     }
 }
@@ -773,10 +751,10 @@ fn mac_denied(name: &str) -> SyscallOutcome {
         user: Usecs(1),
         system: Usecs(3),
         blocked: Usecs::ZERO,
-        coverage: vec![fallback_signal(
+        coverage: Signals::one(fallback_signal(
             nr_of(name).unwrap_or(u32::MAX),
             Some(Errno::EACCES),
-        )],
+        )),
         throttled: false,
     }
 }
@@ -789,10 +767,10 @@ fn seccomp_denied(name: &str) -> SyscallOutcome {
         user: Usecs(1),
         system: Usecs(2),
         blocked: Usecs::ZERO,
-        coverage: vec![fallback_signal(
+        coverage: Signals::one(fallback_signal(
             nr_of(name).unwrap_or(u32::MAX),
             Some(Errno::EPERM),
-        )],
+        )),
         throttled: false,
     }
 }

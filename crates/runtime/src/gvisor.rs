@@ -19,7 +19,7 @@ use std::collections::HashSet;
 use torpedo_kernel::errno::Errno;
 use torpedo_kernel::kernel::Kernel;
 use torpedo_kernel::syscalls::{
-    self, fallback_signal, nr_of, ExecContext, ExecPolicy, SyscallOutcome, SyscallRequest,
+    self, fallback_signal, nr_of, ExecContext, ExecPolicy, Signals, SyscallOutcome, SyscallRequest,
 };
 use torpedo_kernel::time::Usecs;
 
@@ -88,10 +88,10 @@ impl GVisor {
             user: Usecs(1),
             system: Usecs(3),
             blocked: Usecs::ZERO,
-            coverage: vec![fallback_signal(
+            coverage: Signals::one(fallback_signal(
                 nr_of(name).unwrap_or(u32::MAX),
                 Some(Errno::ENOSYS),
-            )],
+            )),
             throttled: false,
         }
     }
@@ -105,10 +105,10 @@ impl GVisor {
                 user: Usecs(2),
                 system: Usecs(8),
                 blocked: Usecs::ZERO,
-                coverage: vec![fallback_signal(
+                coverage: Signals::one(fallback_signal(
                     nr_of(req.name).unwrap_or(u32::MAX),
                     Some(Errno::EIO),
-                )],
+                )),
                 throttled: false,
             },
             crash: Some(ContainerCrash {

@@ -3,7 +3,8 @@
 //!
 //! * FNV-1a-64 ([`Fnv64`], [`fnv64`]) — checkpoint and journal hash tails,
 //!   the checkpoint config fingerprint, program ids, the kernel's
-//!   syscall-name table and kcov signals.
+//!   syscall-name table, kcov signals and ([`FnvBuildHasher`]) the
+//!   kernel's id-keyed maps.
 //! * Crash-safe replacement ([`write_synced`] then [`commit_rename`]) —
 //!   checkpoint bundles and event journals.
 //! * Size-capped reads ([`read_capped`]) — every loader of untrusted files.
@@ -65,6 +66,26 @@ impl Fnv64 {
         self.0
     }
 }
+
+/// [`Fnv64`] as the hasher of a `HashMap` keyed by integer ids the
+/// program assigns itself (pids, cgroup ids, fds): a few multiplies per
+/// key where std's SipHash-1-3 runs its rounds. FNV has no key, so maps
+/// whose keys an outside party picks (paths, container names) keep std's
+/// keyed `RandomState`.
+impl std::hash::Hasher for Fnv64 {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        Fnv64::write(self, bytes);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Builds [`Fnv64`] hashers: `HashMap<K, V, FnvBuildHasher>`.
+pub type FnvBuildHasher = std::hash::BuildHasherDefault<Fnv64>;
 
 /// FNV-1a-64 of `bytes`.
 #[inline]
@@ -559,6 +580,13 @@ mod tests {
         let mut h = Fnv64::default();
         h.write_u64(0x0102_0304_0506_0708);
         assert_eq!(h.finish(), fnv64(&[8, 7, 6, 5, 4, 3, 2, 1]));
+        // Through `Hasher`, a derived `Hash` of an integer id is FNV over
+        // its native-endian bytes.
+        use std::hash::BuildHasher as _;
+        assert_eq!(
+            FnvBuildHasher::default().hash_one(7u32),
+            fnv64(&7u32.to_ne_bytes())
+        );
     }
 
     #[test]

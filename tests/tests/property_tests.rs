@@ -6,9 +6,10 @@ use std::sync::Arc;
 
 use torpedo_prop::prelude::*;
 use torpedo_rng::rngs::StdRng;
-use torpedo_rng::SeedableRng;
+use torpedo_rng::{Rng, SeedableRng};
 
 use torpedo_core::batch::{BatchAction, BatchConfig, BatchMachine};
+use torpedo_kernel::cgroup::{CgroupError, CgroupId, CgroupLimits, CgroupTree};
 use torpedo_kernel::cpu::{CpuCategory, CpuTimes};
 use torpedo_kernel::syscalls::fallback_signal;
 use torpedo_kernel::{Errno, Usecs};
@@ -181,6 +182,58 @@ proptest! {
             prop_assert!(prog.validate(&table).is_ok());
         }
     }
+
+    /// Each cgroup's stored quota equals the ancestor walk it replaced, for
+    /// random trees with quotas at random depths, after random removals.
+    #[test]
+    fn cgroup_budget_matches_the_ancestor_walk(seed in any::<u64>(), size in 1usize..24) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut tree = CgroupTree::new();
+        let mut ids = vec![CgroupTree::ROOT];
+        for i in 0..size {
+            let parent = ids[rng.gen_range(0..ids.len())];
+            let limits = CgroupLimits {
+                cpu_quota_cores: rng.gen_bool(0.5).then(|| rng.gen_range(0.05..8.0)),
+                ..CgroupLimits::default()
+            };
+            let id = tree.create(parent, &format!("g{i}"), limits).unwrap();
+            tree.charge_cpu(id, Usecs(rng.gen_range(0..8_000_000)));
+            ids.push(id);
+        }
+        for _ in 0..size / 2 {
+            let victim = ids[rng.gen_range(1..ids.len())];
+            let has_children = tree.iter().any(|g| g.parent() == Some(victim));
+            match tree.remove(victim) {
+                Ok(()) => ids.retain(|&id| id != victim),
+                Err(err) => prop_assert_eq!(err, CgroupError::Busy(victim)),
+            }
+            prop_assert_eq!(tree.get(victim).is_some(), has_children);
+        }
+        let window = Usecs::from_secs(5);
+        for g in tree.iter() {
+            let walked = quota_by_walk(&tree, g.id());
+            prop_assert_eq!(tree.effective_cpu_quota(g.id()), walked);
+            prop_assert_eq!(
+                tree.remaining_cpu_budget(g.id(), window),
+                walked.map(|q| window.scale(q).saturating_sub(g.charged_cpu()))
+            );
+        }
+    }
+}
+
+/// The ancestor walk `CgroupTree` stored quotas replaced: the minimum
+/// `cpu_quota_cores` from `id` up to the root, `None` if no group on the
+/// way sets one.
+fn quota_by_walk(tree: &CgroupTree, id: CgroupId) -> Option<f64> {
+    let mut quota: Option<f64> = None;
+    let mut cur = tree.get(id);
+    while let Some(g) = cur {
+        if let Some(q) = g.limits().cpu_quota_cores {
+            quota = Some(quota.map_or(q, |existing| existing.min(q)));
+        }
+        cur = g.parent().and_then(|p| tree.get(p));
+    }
+    quota
 }
 
 proptest! {
