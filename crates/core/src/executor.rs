@@ -6,11 +6,13 @@
 //! the *predicted* end of the next execution would overshoot the round
 //! boundary, so all parallel executors stop at or before `T` (§3.3).
 
+use std::sync::MutexGuard;
+
 use torpedo_kernel::kernel::Kernel;
 use torpedo_kernel::time::Usecs;
 use torpedo_kernel::SyscallRequest;
 use torpedo_prog::{ArgValue, Program, ProgramCoverage, SyscallDesc};
-use torpedo_runtime::engine::{ContainerId, Engine, EngineError};
+use torpedo_runtime::engine::{Container, ContainerId, Engine, EngineError};
 use torpedo_runtime::{ContainerCrash, ExecEnv};
 
 /// Per-iteration entrypoint overhead charged inside the container: IPC,
@@ -44,6 +46,20 @@ impl GlueCost {
             user: Usecs(4),
             system: Usecs(8),
             ipc_wait: Usecs(1),
+        }
+    }
+
+    /// This glue as paid inside a runtime with interception `overhead`.
+    /// The entrypoint itself runs inside the sandbox, so its IPC and
+    /// serialization syscalls pay the overhead too. Interception also adds
+    /// off-CPU stops (ptrace round-trips, VM exits): the wait grows faster
+    /// than the on-CPU cost, which is why gVisor fuzzing cores in Table A.4
+    /// are *less* busy than runC's.
+    fn under(self, overhead: f64) -> GlueCost {
+        GlueCost {
+            user: self.user.scale(overhead),
+            system: self.system.scale(overhead),
+            ipc_wait: self.ipc_wait.scale(overhead * overhead),
         }
     }
 }
@@ -120,6 +136,21 @@ impl Executor {
         program: &Program,
         stop_after: Usecs,
     ) -> Result<ExecReport, EngineError> {
+        // Lock this executor's container stripe once for the whole window;
+        // parallel workers contend only when they drive the same container,
+        // never on an engine-wide lock.
+        let container = engine
+            .container(&self.container)
+            .ok_or_else(|| EngineError::NoSuchContainer(self.container.name().to_string()))?;
+        let mut window = Window {
+            glue: self.glue.under(container.policy().overhead),
+            container,
+            table,
+            program,
+            // One return-value buffer for the whole window: after the
+            // first execution the loop allocates nothing.
+            retvals: Vec::with_capacity(program.len()),
+        };
         let mut elapsed = Usecs::ZERO;
         let mut total_exec_time = Usecs::ZERO;
         let mut executions: u64 = 0;
@@ -128,13 +159,10 @@ impl Executor {
         let mut throttled = false;
         let mut fatal_signals = 0u64;
         let mut blocked_time = Usecs::ZERO;
-        // One return-value buffer for the whole window: after the first
-        // execution the loop allocates nothing.
-        let mut retvals = Vec::with_capacity(program.len());
 
         loop {
             let first = executions == 0;
-            let once = match self.step(kernel, engine, table, program, first, &mut retvals) {
+            let once = match self.step(kernel, engine, &mut window, first) {
                 Ok(once) => once,
                 // A transient runtime exec error ends this executor's window
                 // early; what ran so far is still a valid partial report.
@@ -150,7 +178,7 @@ impl Executor {
                 coverage = once.coverage;
             }
             if let Some(c) = once.crash {
-                crash = Some(c);
+                crash = Some(*c);
                 break;
             }
             if once.throttled {
@@ -175,9 +203,7 @@ impl Executor {
     }
 
     /// Execute the program exactly once (one Algorithm 1 iteration: serial
-    /// pass, optional collider pass, fd cleanup). `retvals` is the caller's
-    /// buffer for the serial pass's return values, reused across
-    /// executions.
+    /// pass, optional collider pass, fd cleanup) within `window`.
     ///
     /// # Errors
     /// Engine errors other than crashes (which are reported in the step).
@@ -185,56 +211,28 @@ impl Executor {
         &self,
         kernel: &mut Kernel,
         engine: &Engine,
-        table: &[SyscallDesc],
-        program: &Program,
+        window: &mut Window<'_>,
         collect_coverage: bool,
-        retvals: &mut Vec<i64>,
     ) -> Result<StepReport, EngineError> {
-        // Lock this executor's container stripe once for the whole
-        // iteration; parallel workers contend only when they drive the
-        // same container, never on an engine-wide lock.
-        let mut container = engine
-            .container(&self.container)
-            .ok_or_else(|| EngineError::NoSuchContainer(self.container.name().to_string()))?;
+        let container = &mut *window.container;
+        let glue = window.glue;
         // Entry-point glue: charged inside the container.
         let (pid, cgroup, core) = (
             container.executor_pid(),
             container.cgroup(),
             container.core(),
         );
-        // The entrypoint itself runs inside the sandbox: its IPC and
-        // serialization syscalls pay the runtime's interception overhead
-        // too. The policy is read from the stripe we already hold.
-        let overhead = container.policy().overhead;
-        let glue_user = self.glue.user.scale(overhead);
-        let glue_system = self.glue.system.scale(overhead);
-        // Interception also adds off-CPU stops (ptrace round-trips, VM
-        // exits): the wait grows faster than the on-CPU cost, which is why
-        // gVisor fuzzing cores in Table A.4 are *less* busy than runC's.
-        let ipc_wait = self.glue.ipc_wait.scale(overhead * overhead);
-        kernel.charge(
-            core,
-            torpedo_kernel::CpuCategory::User,
-            glue_user,
-            pid,
-            cgroup,
-        );
-        kernel.charge(
-            core,
-            torpedo_kernel::CpuCategory::System,
-            glue_system,
-            pid,
-            cgroup,
-        );
-        let mut duration = glue_user + glue_system + ipc_wait;
-        let mut blocked = ipc_wait;
+        kernel.charge_user_system(core, glue.user, glue.system, pid, cgroup);
+        let mut duration = glue.user + glue.system + glue.ipc_wait;
+        let mut blocked = glue.ipc_wait;
         let mut fatal_signals = 0u64;
+        let (table, program, retvals) = (window.table, window.program, &mut window.retvals);
         retvals.clear();
         let mut coverage = ProgramCoverage::default();
 
         for call in &program.calls {
             let req = request(table, call, retvals);
-            let exec = engine.exec_locked(kernel, &mut container, req, ExecEnv::default())?;
+            let exec = engine.exec_locked(kernel, container, req, ExecEnv::default())?;
             retvals.push(exec.outcome.retval);
             if collect_coverage {
                 coverage.per_call.push(exec.outcome.coverage.to_vec());
@@ -275,7 +273,7 @@ impl Executor {
             for call in &program.calls {
                 let req = request(table, call, retvals);
                 let exec =
-                    engine.exec_locked(kernel, &mut container, req, ExecEnv { collider: true })?;
+                    engine.exec_locked(kernel, container, req, ExecEnv { collider: true })?;
                 duration += exec.outcome.user + exec.outcome.system + exec.outcome.blocked;
                 blocked += exec.outcome.blocked;
                 if let Some(crash) = exec.crash {
@@ -311,6 +309,18 @@ impl Executor {
     }
 }
 
+/// The state one `LoopUntilTime` window holds across its executions.
+struct Window<'a> {
+    /// The executor's container stripe, locked for the whole window.
+    container: MutexGuard<'a, Container>,
+    /// The glue each execution pays, under the container's runtime.
+    glue: GlueCost,
+    table: &'a [SyscallDesc],
+    program: &'a Program,
+    /// The serial pass's return values, reused across executions.
+    retvals: Vec<i64>,
+}
+
 /// Result of one program iteration.
 #[derive(Debug, Clone)]
 struct StepReport {
@@ -321,7 +331,7 @@ struct StepReport {
     /// Per-call coverage (populated only when requested).
     pub coverage: ProgramCoverage,
     /// Container crash, if any.
-    pub crash: Option<ContainerCrash>,
+    pub crash: Option<Box<ContainerCrash>>,
     /// Whether the cgroup quota throttled the iteration.
     pub throttled: bool,
     /// Fatal signals delivered.

@@ -9,8 +9,9 @@
 //! "work caused" and "work charged" is what the deferral ledger
 //! ([`crate::deferral`]) records.
 
+use crate::kernel::NO_ROUND_WINDOW;
+use crate::slots::Slots;
 use crate::time::Usecs;
-use crate::IdMap;
 
 /// Identifier of a control group. The root cgroup is always id 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -46,6 +47,9 @@ pub struct Cgroup {
     /// group with children cannot be removed, so no ancestor changes
     /// under it.
     effective_quota: Option<f64>,
+    /// The CPU budget for the tree's current window: the window scaled by
+    /// the effective quota, recomputed only when the window changes.
+    cpu_budget: Option<Usecs>,
     /// CPU time charged to this cgroup in the current accounting window.
     charged_cpu: Usecs,
     /// Bytes of memory currently charged.
@@ -142,10 +146,15 @@ impl std::fmt::Display for CgroupError {
 impl std::error::Error for CgroupError {}
 
 /// The cgroup hierarchy (a simplified `cgroupfs`).
+///
+/// Ids count up from the root's 0 and are never reused, so each group is
+/// stored at the index of its id.
 #[derive(Debug, Clone)]
 pub struct CgroupTree {
-    groups: IdMap<CgroupId, Cgroup>,
+    groups: Slots<Cgroup>,
     next_id: u32,
+    /// The accounting window the stored CPU budgets are for.
+    window: Usecs,
 }
 
 impl CgroupTree {
@@ -154,22 +163,27 @@ impl CgroupTree {
 
     /// Create a tree containing only the unrestricted root group.
     pub fn new() -> CgroupTree {
-        let mut groups = IdMap::default();
+        let mut groups = Slots::default();
         groups.insert(
-            Self::ROOT,
+            0,
             Cgroup {
                 id: Self::ROOT,
                 parent: None,
                 name: "/".to_string(),
                 limits: CgroupLimits::default(),
                 effective_quota: None,
+                cpu_budget: None,
                 charged_cpu: Usecs::ZERO,
                 charged_memory: 0,
                 charged_io_bytes: 0,
                 oom_events: 0,
             },
         );
-        CgroupTree { groups, next_id: 1 }
+        CgroupTree {
+            groups,
+            next_id: 1,
+            window: NO_ROUND_WINDOW,
+        }
     }
 
     /// Create a child group under `parent` with the given limits.
@@ -183,8 +197,7 @@ impl CgroupTree {
         limits: CgroupLimits,
     ) -> Result<CgroupId, CgroupError> {
         let inherited = self
-            .groups
-            .get(&parent)
+            .get(parent)
             .ok_or(CgroupError::NoSuchGroup(parent))?
             .effective_quota;
         let effective_quota = match (limits.cpu_quota_cores, inherited) {
@@ -194,13 +207,14 @@ impl CgroupTree {
         let id = CgroupId(self.next_id);
         self.next_id += 1;
         self.groups.insert(
-            id,
+            id.0 as usize,
             Cgroup {
                 id,
                 parent: Some(parent),
                 name: name.to_string(),
                 limits,
                 effective_quota,
+                cpu_budget: effective_quota.map(|q| self.window.scale(q)),
                 charged_cpu: Usecs::ZERO,
                 charged_memory: 0,
                 charged_io_bytes: 0,
@@ -224,14 +238,18 @@ impl CgroupTree {
             return Err(CgroupError::Busy(id));
         }
         self.groups
-            .remove(&id)
+            .remove(id.0 as usize)
             .map(|_| ())
             .ok_or(CgroupError::NoSuchGroup(id))
     }
 
     /// Look up a group.
     pub fn get(&self, id: CgroupId) -> Option<&Cgroup> {
-        self.groups.get(&id)
+        self.groups.get(id.0 as usize)
+    }
+
+    fn get_mut(&mut self, id: CgroupId) -> Option<&mut Cgroup> {
+        self.groups.get_mut(id.0 as usize)
     }
 
     /// Number of groups, including the root.
@@ -244,7 +262,7 @@ impl CgroupTree {
         self.groups.len() <= 1
     }
 
-    /// Iterate over all groups in unspecified order.
+    /// Iterate over all groups in id order.
     pub fn iter(&self) -> impl Iterator<Item = &Cgroup> {
         self.groups.values()
     }
@@ -253,12 +271,12 @@ impl CgroupTree {
     ///
     /// `None` means "all cores" (the root's behaviour).
     pub fn effective_cpuset(&self, id: CgroupId) -> Option<Vec<usize>> {
-        let mut cur = self.groups.get(&id);
+        let mut cur = self.get(id);
         while let Some(g) = cur {
             if let Some(set) = &g.limits.cpuset {
                 return Some(set.clone());
             }
-            cur = g.parent.and_then(|p| self.groups.get(&p));
+            cur = g.parent.and_then(|p| self.get(p));
         }
         None
     }
@@ -266,7 +284,7 @@ impl CgroupTree {
     /// The *effective* CPU quota in cores: the minimum along the ancestor
     /// chain, or `None` if unconstrained everywhere (or `id` is unknown).
     pub fn effective_cpu_quota(&self, id: CgroupId) -> Option<f64> {
-        self.groups.get(&id)?.effective_quota
+        self.get(id)?.effective_quota
     }
 
     /// Charge CPU time to `id` (tracking function of the CPU controller).
@@ -275,14 +293,14 @@ impl CgroupTree {
     /// task whose cgroup was removed falls back to the root — we deliberately
     /// drop the charge instead so tests can detect accounting leaks.
     pub fn charge_cpu(&mut self, id: CgroupId, amount: Usecs) {
-        if let Some(g) = self.groups.get_mut(&id) {
+        if let Some(g) = self.get_mut(id) {
             g.charged_cpu += amount;
         }
     }
 
     /// Charge block-I/O bytes to `id`.
     pub fn charge_io(&mut self, id: CgroupId, bytes: u64) {
-        if let Some(g) = self.groups.get_mut(&id) {
+        if let Some(g) = self.get_mut(id) {
             g.charged_io_bytes += bytes;
         }
     }
@@ -294,10 +312,7 @@ impl CgroupTree {
     /// [`CgroupError::MemoryLimitExceeded`] when the new total would exceed
     /// the group's own limit; the charge is not applied in that case.
     pub fn charge_memory(&mut self, id: CgroupId, delta: i64) -> Result<(), CgroupError> {
-        let g = self
-            .groups
-            .get_mut(&id)
-            .ok_or(CgroupError::NoSuchGroup(id))?;
+        let g = self.get_mut(id).ok_or(CgroupError::NoSuchGroup(id))?;
         let new = if delta >= 0 {
             g.charged_memory.saturating_add(delta as u64)
         } else {
@@ -321,7 +336,7 @@ impl CgroupTree {
     /// for an unconstrained or unknown group). Near `1.0` the kernel starts
     /// reclaiming — the trigger for the writeback deferral channel.
     pub fn memory_pressure(&self, id: CgroupId) -> f64 {
-        let Some(g) = self.groups.get(&id) else {
+        let Some(g) = self.get(id) else {
             return 0.0;
         };
         match g.limits.memory_bytes {
@@ -330,14 +345,26 @@ impl CgroupTree {
         }
     }
 
-    /// Remaining CPU budget of the group within an accounting window of
-    /// `window` virtual time, given the effective quota.
+    /// Make `window` the accounting window: every constrained group's CPU
+    /// budget becomes `window` scaled by its effective quota. Charges are
+    /// untouched ([`CgroupTree::reset_window`] clears them).
+    pub fn set_window(&mut self, window: Usecs) {
+        if window == self.window {
+            return;
+        }
+        self.window = window;
+        for g in self.groups.values_mut() {
+            g.cpu_budget = g.effective_quota.map(|q| window.scale(q));
+        }
+    }
+
+    /// Remaining CPU budget of the group within the current accounting
+    /// window ([`CgroupTree::set_window`]), given the effective quota.
     ///
-    /// Returns `None` when the group is unconstrained.
-    pub fn remaining_cpu_budget(&self, id: CgroupId, window: Usecs) -> Option<Usecs> {
-        let g = self.groups.get(&id)?;
-        let budget = window.scale(g.effective_quota?);
-        Some(budget.saturating_sub(g.charged_cpu))
+    /// Returns `None` when the group is unconstrained (or unknown).
+    pub fn remaining_cpu_budget(&self, id: CgroupId) -> Option<Usecs> {
+        let g = self.get(id)?;
+        Some(g.cpu_budget?.saturating_sub(g.charged_cpu))
     }
 
     /// Reset the per-window charge counters (CPU and block-I/O) on every
@@ -448,24 +475,47 @@ mod tests {
             cpu_quota_cores: Some(1.0),
             ..CgroupLimits::default()
         });
-        let window = Usecs::from_secs(5);
-        assert_eq!(
-            t.remaining_cpu_budget(id, window),
-            Some(Usecs::from_secs(5))
-        );
+        t.set_window(Usecs::from_secs(5));
+        assert_eq!(t.remaining_cpu_budget(id), Some(Usecs::from_secs(5)));
         t.charge_cpu(id, Usecs::from_secs(2));
-        assert_eq!(
-            t.remaining_cpu_budget(id, window),
-            Some(Usecs::from_secs(3))
-        );
+        assert_eq!(t.remaining_cpu_budget(id), Some(Usecs::from_secs(3)));
         t.charge_cpu(id, Usecs::from_secs(10));
-        assert_eq!(t.remaining_cpu_budget(id, window), Some(Usecs::ZERO));
+        assert_eq!(t.remaining_cpu_budget(id), Some(Usecs::ZERO));
+    }
+
+    #[test]
+    fn cpu_budget_follows_the_window() {
+        let (mut t, id) = tree_with_child(CgroupLimits {
+            cpu_quota_cores: Some(0.5),
+            ..CgroupLimits::default()
+        });
+        // Until a window is set, budgets are for the window outside a round.
+        assert_eq!(t.remaining_cpu_budget(id), Some(NO_ROUND_WINDOW.scale(0.5)));
+        t.set_window(Usecs::from_secs(4));
+        t.charge_cpu(id, Usecs::from_secs(1));
+        assert_eq!(t.remaining_cpu_budget(id), Some(Usecs::from_secs(1)));
+        // A new window rescales the budget and keeps the charges.
+        t.set_window(Usecs::from_secs(10));
+        assert_eq!(t.remaining_cpu_budget(id), Some(Usecs::from_secs(4)));
+        // A group created mid-window gets that window's budget.
+        let late = t
+            .create(
+                id,
+                "docker/test/late",
+                CgroupLimits {
+                    cpu_quota_cores: Some(0.25),
+                    ..CgroupLimits::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(t.remaining_cpu_budget(late), Some(Usecs(2_500_000)));
     }
 
     #[test]
     fn unconstrained_budget_is_none() {
-        let (t, id) = tree_with_child(CgroupLimits::default());
-        assert_eq!(t.remaining_cpu_budget(id, Usecs::from_secs(5)), None);
+        let (mut t, id) = tree_with_child(CgroupLimits::default());
+        t.set_window(Usecs::from_secs(5));
+        assert_eq!(t.remaining_cpu_budget(id), None);
     }
 
     #[test]

@@ -76,6 +76,10 @@ impl Default for KernelConfig {
     }
 }
 
+/// The window charges run against outside an observer round: long enough
+/// that no core or cgroup budget fills, with headroom for sums.
+pub(crate) const NO_ROUND_WINDOW: Usecs = Usecs(u64::MAX / 4);
+
 /// Per-round CPU ledger: one [`CpuTimes`] per core plus the round window.
 #[derive(Debug, Clone)]
 pub struct RoundState {
@@ -291,17 +295,26 @@ impl Kernel {
         self.io_active.clear();
         self.net.reset_window();
         self.vfs.dirty(self.config.host_dirty_bytes_per_round);
-        let state = self.fresh_round(window);
-        self.round = Some(state);
+        self.open_round(window);
     }
 
-    /// A zeroed [`RoundState`] drawn from the recycled scratch buffer:
-    /// allocation-free in steady state.
-    fn fresh_round(&mut self, window: Usecs) -> RoundState {
+    /// Open a zeroed round of length `window`, drawn from the recycled
+    /// scratch buffer (allocation-free in steady state). The cgroup CPU
+    /// budgets follow the round's window.
+    fn open_round(&mut self, window: Usecs) {
         let mut per_core = std::mem::take(&mut self.round_scratch);
         per_core.clear();
         per_core.resize(self.config.cores, CpuTimes::default());
-        RoundState { window, per_core }
+        self.cgroups.set_window(window);
+        self.round = Some(RoundState { window, per_core });
+    }
+
+    /// Close the open round, if any: the cgroup CPU budgets go back to the
+    /// window outside a round.
+    fn take_round(&mut self) -> Option<RoundState> {
+        let round = self.round.take()?;
+        self.cgroups.set_window(NO_ROUND_WINDOW);
+        Some(round)
     }
 
     /// Finish the round: add background noise, the framework's softirq
@@ -317,7 +330,7 @@ impl Kernel {
         // opened (a worker died between rounds and the observer drains the
         // kernel before retrying); report an empty window instead of
         // panicking the recovery thread.
-        let Some(mut round) = self.round.take() else {
+        let Some(mut round) = self.take_round() else {
             return RoundOutput {
                 window: Usecs::ZERO,
                 per_core: vec![CpuTimes::default(); self.config.cores],
@@ -407,7 +420,7 @@ impl Kernel {
     /// untouched here, so only the primary ever consumes noise entropy and
     /// the merged output is byte-identical to a single shared kernel.
     pub fn take_round_raw(&mut self) -> RoundOutput {
-        let Some(mut round) = self.round.take() else {
+        let Some(mut round) = self.take_round() else {
             return RoundOutput {
                 window: Usecs::ZERO,
                 per_core: vec![CpuTimes::default(); self.config.cores],
@@ -439,8 +452,7 @@ impl Kernel {
     /// cumulative counters are untouched.
     pub fn absorb_round_raw(&mut self, raw: RoundOutput) {
         if self.round.is_none() {
-            let state = self.fresh_round(raw.window);
-            self.round = Some(state);
+            self.open_round(raw.window);
         }
         let Some(round) = self.round.as_mut() else {
             return;
@@ -484,42 +496,55 @@ impl Kernel {
         pid: Pid,
         cgroup: CgroupId,
     ) -> Usecs {
+        let applied = self.charge_core(core, cat, amount);
+        self.procs.charge_cpu(pid, applied);
+        self.cgroups.charge_cpu(cgroup, applied);
+        applied
+    }
+
+    /// Charge `user` then `system` time on `core` to `pid` and `cgroup`:
+    /// the same as two [`Kernel::charge`] calls, each clamped to the
+    /// core's remaining capacity, but the process and the cgroup are each
+    /// looked up once. Returns the applied `(user, system)`.
+    pub fn charge_user_system(
+        &mut self,
+        core: usize,
+        user: Usecs,
+        system: Usecs,
+        pid: Pid,
+        cgroup: CgroupId,
+    ) -> (Usecs, Usecs) {
+        let user = self.charge_core(core, CpuCategory::User, user);
+        let system = self.charge_core(core, CpuCategory::System, system);
+        self.procs.charge_cpu(pid, user + system);
+        self.cgroups.charge_cpu(cgroup, user + system);
+        (user, system)
+    }
+
+    /// Charge `amount` of `cat` on `core` alone, clamped to its remaining
+    /// capacity; with no round open, a round of the window used outside a
+    /// round is opened. Returns the applied amount.
+    fn charge_core(&mut self, core: usize, cat: CpuCategory, amount: Usecs) -> Usecs {
         if self.round.is_none() {
-            let state = self.fresh_round(Usecs(u64::MAX / 4));
-            self.round = Some(state);
+            self.open_round(NO_ROUND_WINDOW);
         }
         let Some(round) = self.round.as_mut() else {
             return Usecs::ZERO;
         };
         let applied = amount.min(round.remaining(core));
         round.per_core[core].charge(cat, applied);
-        self.procs.charge_cpu(pid, applied);
-        self.cgroups.charge_cpu(cgroup, applied);
         applied
     }
 
     /// Charge I/O-wait on `core` (not attributed to any process: iowait is a
     /// core-level phenomenon). Clamped to remaining capacity.
     pub fn charge_iowait(&mut self, core: usize, amount: Usecs) -> Usecs {
-        if self.round.is_none() {
-            let state = self.fresh_round(Usecs(u64::MAX / 4));
-            self.round = Some(state);
-        }
-        let Some(round) = self.round.as_mut() else {
-            return Usecs::ZERO;
-        };
-        let applied = amount.min(round.remaining(core));
-        round.per_core[core].charge(CpuCategory::IoWait, applied);
-        applied
+        self.charge_core(core, CpuCategory::IoWait, amount)
     }
 
     /// Remaining CPU-quota budget for `cgroup` in the current round window.
     pub fn remaining_quota(&self, cgroup: CgroupId) -> Option<Usecs> {
-        let window = self
-            .round
-            .as_ref()
-            .map_or(Usecs(u64::MAX / 4), |r| r.window);
-        self.cgroups.remaining_cpu_budget(cgroup, window)
+        self.cgroups.remaining_cpu_budget(cgroup)
     }
 
     /// A deterministic per-key core outside `exclude`: where repeated
@@ -544,7 +569,7 @@ impl Kernel {
     /// exclusion covers every core.
     pub fn pick_victim_core(&self, exclude: &[usize]) -> usize {
         let round = self.round.as_ref();
-        let remaining = |core: usize| round.map_or(Usecs(u64::MAX / 4), |r| r.remaining(core));
+        let remaining = |core: usize| round.map_or(NO_ROUND_WINDOW, |r| r.remaining(core));
         let outside = |c: &usize| !exclude.contains(c);
         let unreserved = |c: &usize| outside(c) && !self.reserved_cores.contains(c);
         // The pool: unreserved cores outside the cpuset, else any core
@@ -880,6 +905,44 @@ mod tests {
         assert_eq!(applied, Usecs::from_millis(10));
         let applied2 = k.charge(3, CpuCategory::System, Usecs(1), pid, cg);
         assert_eq!(applied2, Usecs::ZERO, "core saturated");
+    }
+
+    #[test]
+    fn charge_user_system_matches_two_charges() {
+        // Within capacity, filling the core midway through the system
+        // half, filling it with user time alone, and outside a round.
+        let cases = [
+            (Usecs(300), Usecs(500), true),
+            (Usecs(600_000), Usecs(700_000), true),
+            (Usecs(2_000_000), Usecs(10), true),
+            (Usecs(300), Usecs(500), false),
+        ];
+        for (user, system, in_round) in cases {
+            let mut one = booted();
+            let mut two = booted();
+            if in_round {
+                one.begin_round(Usecs::from_secs(1));
+                two.begin_round(Usecs::from_secs(1));
+            }
+            let pid = one.boot.dockerd;
+            let cg = one.procs.get(pid).unwrap().cgroup();
+            let applied = one.charge_user_system(2, user, system, pid, cg);
+            let u = two.charge(2, CpuCategory::User, user, pid, cg);
+            let s = two.charge(2, CpuCategory::System, system, pid, cg);
+            assert_eq!(applied, (u, s));
+            assert_eq!(
+                one.procs.get(pid).unwrap().round_cpu(),
+                two.procs.get(pid).unwrap().round_cpu()
+            );
+            assert_eq!(
+                one.cgroups.get(cg).unwrap().charged_cpu(),
+                two.cgroups.get(cg).unwrap().charged_cpu()
+            );
+            assert_eq!(
+                one.finish_round(&[2]).per_core,
+                two.finish_round(&[2]).per_core
+            );
+        }
     }
 
     #[test]

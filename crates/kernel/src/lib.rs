@@ -35,6 +35,7 @@ pub mod process;
 pub mod procfs;
 pub mod seccomp;
 pub mod signal;
+mod slots;
 pub mod syscalls;
 pub mod time;
 pub mod top;
@@ -57,9 +58,10 @@ pub use syscalls::{
 };
 pub use time::Usecs;
 
-/// A map keyed by an integer id the kernel assigns itself (pid, cgroup id,
-/// fd). These maps sit on the per-syscall path, so they hash with FNV-1a
-/// rather than std's SipHash; maps keyed by strings that programs choose
-/// keep the default hasher (DESIGN.md §5b).
+/// A map keyed by a pid. Pids wrap and leave gaps, so unlike cgroup ids
+/// and fds (which index a `slots::Slots` table) they are hashed. The
+/// kernel assigns them itself and these maps sit on the per-syscall path,
+/// so they hash with FNV-1a rather than std's SipHash; maps keyed by
+/// strings that programs choose keep the default hasher (DESIGN.md §5b).
 pub(crate) type IdMap<K, V> =
     std::collections::HashMap<K, V, torpedo_telemetry::wire::FnvBuildHasher>;

@@ -179,6 +179,11 @@ pub struct ProcessTable {
 }
 
 impl ProcessTable {
+    /// Where the pid counter restarts after a wrap: pids at or below it are
+    /// only handed out before the first wrap, so the boot daemons' pids are
+    /// never reused (Linux keeps the same floor, `RESERVED_PIDS`).
+    const RESERVED_PIDS: u32 = 300;
+
     /// Create an empty table. PIDs start at 1 (`init` is implicit).
     pub fn new() -> ProcessTable {
         ProcessTable {
@@ -188,9 +193,12 @@ impl ProcessTable {
     }
 
     /// Spawn a process into `cgroup`.
+    ///
+    /// Pids count up. Past `u32::MAX` the counter wraps to just above
+    /// `RESERVED_PIDS` (300), and a pid still in the table is skipped, so
+    /// a spawn never replaces a live entry.
     pub fn spawn(&mut self, name: &str, kind: ProcessKind, cgroup: CgroupId) -> Pid {
-        let pid = Pid(self.next_pid);
-        self.next_pid += 1;
+        let pid = self.alloc_pid();
         self.procs.insert(
             pid,
             Process {
@@ -206,6 +214,20 @@ impl ProcessTable {
             },
         );
         pid
+    }
+
+    /// The next pid not in the table.
+    fn alloc_pid(&mut self) -> Pid {
+        loop {
+            let pid = Pid(self.next_pid);
+            self.next_pid = match self.next_pid.checked_add(1) {
+                Some(next) => next,
+                None => Self::RESERVED_PIDS + 1,
+            };
+            if !self.procs.contains_key(&pid) {
+                return pid;
+            }
+        }
     }
 
     /// Mark a process dead. Unknown pids are ignored.
@@ -352,6 +374,63 @@ mod tests {
         assert_eq!(t.get(pid).unwrap().rlimits().fsize, 1 << 30);
         t.get_mut(pid).unwrap().rlimits_mut().fsize = 4096;
         assert_eq!(t.get(pid).unwrap().rlimits().fsize, 4096);
+    }
+
+    #[test]
+    fn pid_wrap_replaces_no_live_entry() {
+        let mut t = ProcessTable::new();
+        let boot: Vec<Pid> = (0..21)
+            .map(|i| {
+                t.spawn(
+                    &format!("kthread-{i}"),
+                    ProcessKind::KernelThread(KthreadKind::Kworker),
+                    CgroupTree::ROOT,
+                )
+            })
+            .collect();
+        // An executor holding the first pid the counter wraps to.
+        t.next_pid = ProcessTable::RESERVED_PIDS + 1;
+        let executor = t.spawn(
+            "syz-executor-0",
+            ProcessKind::Executor {
+                container: "fuzz-0".into(),
+            },
+            CgroupTree::ROOT,
+        );
+        let before: Vec<(Pid, String)> = t.iter().map(|p| (p.pid(), p.name().into())).collect();
+        t.next_pid = u32::MAX - 2;
+        let mut spawned = Vec::new();
+        for round in 0..3 {
+            for _ in 0..2 {
+                let pid = t.spawn(
+                    "modprobe",
+                    ProcessKind::Helper(HelperKind::Modprobe),
+                    CgroupTree::ROOT,
+                );
+                t.exit(pid);
+                spawned.push(pid);
+            }
+            if round == 0 {
+                // The dead helpers stay in the table until the round ends.
+                t.begin_round();
+            }
+        }
+        assert_eq!(
+            spawned,
+            [
+                Pid(u32::MAX - 2),
+                Pid(u32::MAX - 1),
+                Pid(u32::MAX),
+                Pid(ProcessTable::RESERVED_PIDS + 2),
+                Pid(ProcessTable::RESERVED_PIDS + 3),
+                Pid(ProcessTable::RESERVED_PIDS + 4),
+            ]
+        );
+        for (pid, name) in &before {
+            assert_eq!(t.get(*pid).map(Process::name), Some(name.as_str()));
+        }
+        assert_eq!(t.get(executor).unwrap().name(), "syz-executor-0");
+        assert!(boot.iter().all(|&pid| pid.0 <= ProcessTable::RESERVED_PIDS));
     }
 
     #[test]

@@ -290,8 +290,7 @@ pub fn dispatch(kernel: &mut Kernel, ctx: &ExecContext, req: SyscallRequest<'_>)
             system = system.scale(ratio);
         }
     }
-    let user = kernel.charge(ctx.core, CpuCategory::User, user, ctx.pid, ctx.cgroup);
-    let system = kernel.charge(ctx.core, CpuCategory::System, system, ctx.pid, ctx.cgroup);
+    let (user, system) = kernel.charge_user_system(ctx.core, user, system, ctx.pid, ctx.cgroup);
 
     // Fatal-signal delivery: kill the process; if the signal dumps core, the
     // kernel execs the registered coredump helper through usermodehelper —

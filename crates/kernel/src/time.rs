@@ -54,11 +54,31 @@ impl Usecs {
         Usecs(self.0.saturating_sub(rhs.0))
     }
 
-    /// Scale by a non-negative factor, saturating on overflow.
+    /// Scale by a non-negative factor, rounding half away from zero and
+    /// saturating on overflow.
+    ///
+    /// The result equals `(self.0 as f64 * factor).round() as u64`, but the
+    /// rounding is integer work: truncate, then add one when the dropped
+    /// fraction is at least one half. `f64::round` is a libm call, and this
+    /// sits on the per-syscall path.
     #[must_use]
     pub fn scale(self, factor: f64) -> Usecs {
         debug_assert!(factor >= 0.0, "cannot scale a duration by {factor}");
-        Usecs((self.0 as f64 * factor).round() as u64)
+        // Up to 2^53 the conversion to f64 is exact, so a unit factor
+        // changes nothing.
+        if factor == 1.0 && self.0 <= 1 << 53 {
+            return self;
+        }
+        let product = self.0 as f64 * factor;
+        // `as` truncates toward zero and saturates (NaN gives 0). Below
+        // 2^53 the truncated value and the fraction are exact; above it
+        // the product is already an integer.
+        let whole = product as u64;
+        if product - whole as f64 >= 0.5 {
+            Usecs(whole.saturating_add(1))
+        } else {
+            Usecs(whole)
+        }
     }
 }
 
@@ -119,6 +139,13 @@ mod tests {
     fn scaling() {
         assert_eq!(Usecs(100).scale(2.5), Usecs(250));
         assert_eq!(Usecs(100).scale(0.0), Usecs::ZERO);
+        // Ties round away from zero, as `f64::round` does.
+        assert_eq!(Usecs(1).scale(0.5), Usecs(1));
+        assert_eq!(Usecs(5).scale(0.5), Usecs(3));
+        assert_eq!(Usecs(3).scale(0.5), Usecs(2));
+        // Past u64::MAX the result saturates.
+        assert_eq!(Usecs(u64::MAX).scale(2.0), Usecs(u64::MAX));
+        assert_eq!(Usecs(u64::MAX).scale(1.0), Usecs(u64::MAX));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 
 use crate::errno::Errno;
-use crate::IdMap;
+use crate::slots::Slots;
 
 /// File descriptor number within one process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -131,13 +131,14 @@ impl Vfs {
     /// `ELOOP` for chained symlinks, `ENOENT` for absent paths.
     pub fn resolve(&self, path: &str) -> Result<&FileMeta, Errno> {
         // A path that traverses a self-referencing symlink more than the
-        // kernel's nesting limit (40) fails with ELOOP.
-        let components = path.split('/').filter(|c| !c.is_empty()).count();
-        if components > 40 {
+        // kernel's nesting limit (40) fails with ELOOP. Forty-one non-empty
+        // components need at least 81 bytes, so shorter paths skip the
+        // count.
+        if path.len() > 80 && component_count(path) > 40 {
             return Err(Errno::ELOOP);
         }
         match self.files.get(path) {
-            Some(meta) if meta.symlink && components > 1 => Err(Errno::ELOOP),
+            Some(meta) if meta.symlink && component_count(path) > 1 => Err(Errno::ELOOP),
             Some(meta) => Ok(meta),
             None => Err(Errno::ENOENT),
         }
@@ -176,10 +177,19 @@ impl Default for Vfs {
     }
 }
 
+/// The number of non-empty components of `path`, counted up to 41: past
+/// the nesting limit the exact count no longer matters.
+fn component_count(path: &str) -> usize {
+    path.split('/').filter(|c| !c.is_empty()).take(41).count()
+}
+
 /// Per-process file-descriptor table.
+///
+/// Fds count up from 3 and only [`FdTable::close_all`] rewinds them, so
+/// each entry is stored at the index of its fd.
 #[derive(Debug, Clone)]
 pub struct FdTable {
-    entries: IdMap<Fd, FdObject>,
+    entries: Slots<FdObject>,
     next_fd: i32,
 }
 
@@ -193,7 +203,7 @@ impl FdTable {
     /// An empty table; fds start at 3 (0–2 are std streams).
     pub fn new() -> FdTable {
         FdTable {
-            entries: IdMap::default(),
+            entries: Slots::default(),
             next_fd: 3,
         }
     }
@@ -208,18 +218,18 @@ impl FdTable {
         }
         let fd = Fd(self.next_fd);
         self.next_fd += 1;
-        self.entries.insert(fd, obj);
+        self.entries.insert(fd.0 as usize, obj);
         Ok(fd)
     }
 
     /// Look up an fd.
     pub fn get(&self, fd: Fd) -> Option<&FdObject> {
-        self.entries.get(&fd)
+        self.entries.get(slot(fd)?)
     }
 
     /// Mutable lookup.
     pub fn get_mut(&mut self, fd: Fd) -> Option<&mut FdObject> {
-        self.entries.get_mut(&fd)
+        self.entries.get_mut(slot(fd)?)
     }
 
     /// Close an fd.
@@ -227,7 +237,10 @@ impl FdTable {
     /// # Errors
     /// `EBADF` if not open.
     pub fn close(&mut self, fd: Fd) -> Result<(), Errno> {
-        self.entries.remove(&fd).map(|_| ()).ok_or(Errno::EBADF)
+        slot(fd)
+            .and_then(|i| self.entries.remove(i))
+            .map(|_| ())
+            .ok_or(Errno::EBADF)
     }
 
     /// Close everything (the executor's `EnableCloseFDs` behaviour).
@@ -243,8 +256,13 @@ impl FdTable {
 
     /// Whether no descriptors are open.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.len() == 0
     }
+}
+
+/// The table index of `fd`; negative fds have none.
+fn slot(fd: Fd) -> Option<usize> {
+    usize::try_from(fd.0).ok()
 }
 
 #[cfg(test)]
@@ -269,6 +287,31 @@ mod tests {
         let vfs = Vfs::new();
         let deep = "./".to_string() + &"test_eloop/".repeat(43);
         assert_eq!(vfs.resolve(&deep), Err(Errno::ELOOP));
+    }
+
+    #[test]
+    fn resolve_counts_components_only_where_they_matter() {
+        let mut vfs = Vfs::new();
+        // Forty one-byte components fit in 79 bytes; forty-one need 81.
+        let forty = ["a"; 40].join("/");
+        let forty_one = ["a"; 41].join("/");
+        assert_eq!((forty.len(), forty_one.len()), (79, 81));
+        vfs.create(&forty, 0o644);
+        vfs.create(&forty_one, 0o644);
+        assert!(vfs.resolve(&forty).is_ok());
+        assert_eq!(vfs.resolve(&forty_one), Err(Errno::ELOOP));
+        // Long paths of few components resolve; empty components do
+        // not count.
+        let long = format!("{}/{}", "/".repeat(100), "x".repeat(100));
+        vfs.create(&long, 0o644);
+        assert!(vfs.resolve(&long).is_ok());
+        // A symlink loops only when reached through a second component.
+        for (path, loops) in [("link", false), ("dir/link", true)] {
+            vfs.create(path, 0o777);
+            vfs.lookup_mut(path).unwrap().symlink = true;
+            assert_eq!(vfs.resolve(path).is_err(), loops, "{path}");
+        }
+        assert_eq!(vfs.resolve("./test_eloop"), Err(Errno::ELOOP));
     }
 
     #[test]

@@ -522,17 +522,17 @@ impl Engine {
             // transitions the container and reaps its processes.
             RuntimeExec {
                 outcome: fault_crash_outcome(req.name),
-                crash: Some(ContainerCrash {
+                crash: Some(Box::new(ContainerCrash {
                     reason: "fault-injected-crash".into(),
                     syscall: req.name.to_string(),
                     args: req.args,
-                }),
+                })),
             }
         } else {
             container.runtime.execute(kernel, &container.ctx, req, env)
         };
         if let Some(crash) = &exec.crash {
-            container.state = ContainerState::Crashed(crash.clone());
+            container.state = ContainerState::Crashed(ContainerCrash::clone(crash));
             kernel.procs.exit(container.executor_pid);
             if let Some(sentry) = container.sentry_pid {
                 kernel.procs.exit(sentry);
@@ -541,16 +541,9 @@ impl Engine {
             // The workload process died; the entrypoint restarts it (the
             // SYZKALLER executor loop behaviour) at a small in-cgroup cost.
             kernel.procs.restart(container.executor_pid);
-            kernel.charge(
+            kernel.charge_user_system(
                 container.core,
-                CpuCategory::User,
                 Usecs(20),
-                container.executor_pid,
-                container.cgroup,
-            );
-            kernel.charge(
-                container.core,
-                CpuCategory::System,
                 Usecs(35),
                 container.executor_pid,
                 container.cgroup,

@@ -111,11 +111,11 @@ impl GVisor {
                 )),
                 throttled: false,
             },
-            crash: Some(ContainerCrash {
+            crash: Some(Box::new(ContainerCrash {
                 reason: reason.to_string(),
                 syscall: req.name.to_string(),
                 args: req.args,
-            }),
+            })),
         }
     }
 }

@@ -82,8 +82,9 @@ impl std::fmt::Display for ContainerCrash {
 pub struct RuntimeExec {
     /// The syscall outcome as observed by the calling program.
     pub outcome: SyscallOutcome,
-    /// Set when the *container* (not just the process) died.
-    pub crash: Option<ContainerCrash>,
+    /// Set when the *container* (not just the process) died. Boxed: a
+    /// crash is rare, and every call returns this struct by value.
+    pub crash: Option<Box<ContainerCrash>>,
 }
 
 /// A container runtime: translates container syscalls onto the host kernel.
@@ -147,6 +148,12 @@ pub(crate) fn completed(outcome: SyscallOutcome) -> RuntimeExec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn runtime_exec_carries_the_crash_by_pointer() {
+        use std::mem::size_of;
+        assert!(size_of::<RuntimeExec>() <= size_of::<SyscallOutcome>() + size_of::<usize>());
+    }
 
     #[test]
     fn crash_display_mentions_syscall() {

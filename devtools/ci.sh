@@ -22,7 +22,7 @@ cargo build --release --workspace
 # Median execs_per_s of the benchmark-of-record command below over five
 # runs on a 2-core x86_64 VM; see CHANGES.md. The gate fails a drop of
 # more than 20% below it.
-CAMPAIGN_EXECS_PER_S_REF=904262
+CAMPAIGN_EXECS_PER_S_REF=1400005
 
 echo "ci: throughput gate (perfbench campaign execs_per_s >= 0.8 x $CAMPAIGN_EXECS_PER_S_REF)"
 line=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \

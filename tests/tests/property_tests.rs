@@ -1,17 +1,18 @@
 //! Property-based tests (proptest) over the core data structures and the
 //! invariants the fuzzing loop depends on.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use torpedo_prop::prelude::*;
 use torpedo_rng::rngs::StdRng;
-use torpedo_rng::{Rng, SeedableRng};
+use torpedo_rng::{Rng, RngCore, SeedableRng};
 
 use torpedo_core::batch::{BatchAction, BatchConfig, BatchMachine};
 use torpedo_kernel::cgroup::{CgroupError, CgroupId, CgroupLimits, CgroupTree};
 use torpedo_kernel::cpu::{CpuCategory, CpuTimes};
 use torpedo_kernel::syscalls::fallback_signal;
+use torpedo_kernel::vfs::{Fd, FdObject, FdTable};
 use torpedo_kernel::{Errno, Usecs};
 use torpedo_prog::{
     build_table, deserialize, gen_program, minimize, serialize, Corpus, CorpusItem, Mutator,
@@ -184,12 +185,20 @@ proptest! {
     }
 
     /// Each cgroup's stored quota equals the ancestor walk it replaced, for
-    /// random trees with quotas at random depths, after random removals.
+    /// random trees with quotas at random depths, after random removals,
+    /// and each stored CPU budget follows every new window, including one
+    /// set before a group was created.
     #[test]
     fn cgroup_budget_matches_the_ancestor_walk(seed in any::<u64>(), size in 1usize..24) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut tree = CgroupTree::new();
         let mut ids = vec![CgroupTree::ROOT];
+        // The window outside a round, or one set before any group exists.
+        let mut first = Usecs(u64::MAX / 4);
+        if rng.gen_bool(0.5) {
+            first = Usecs(rng.gen_range(1..60_000_000));
+            tree.set_window(first);
+        }
         for i in 0..size {
             let parent = ids[rng.gen_range(0..ids.len())];
             let limits = CgroupLimits {
@@ -209,15 +218,161 @@ proptest! {
             }
             prop_assert_eq!(tree.get(victim).is_some(), has_children);
         }
-        let window = Usecs::from_secs(5);
-        for g in tree.iter() {
-            let walked = quota_by_walk(&tree, g.id());
-            prop_assert_eq!(tree.effective_cpu_quota(g.id()), walked);
+        let windows = [
+            first,
+            Usecs::from_secs(5),
+            Usecs(rng.gen_range(1..60_000_000)),
+            Usecs(u64::MAX / 4),
+            Usecs::from_secs(5),
+        ];
+        for window in windows {
+            tree.set_window(window);
+            for _ in 0..3 {
+                let id = ids[rng.gen_range(0..ids.len())];
+                tree.charge_cpu(id, Usecs(rng.gen_range(0..4_000_000)));
+            }
+            for g in tree.iter() {
+                let walked = quota_by_walk(&tree, g.id());
+                prop_assert_eq!(tree.effective_cpu_quota(g.id()), walked);
+                prop_assert_eq!(
+                    tree.remaining_cpu_budget(g.id()),
+                    walked.map(|q| scale_by_float(window, q).saturating_sub(g.charged_cpu()))
+                );
+            }
+        }
+    }
+
+    /// `Usecs::scale` equals the float formula it replaced: random
+    /// magnitudes, exact `.5` ties, the neighbourhoods of 2^52, 2^53, 2^63,
+    /// 2^64 and of the window used outside a round, scaled by zero, one,
+    /// quota fractions, runtime overheads and random factors.
+    #[test]
+    fn usecs_scale_matches_the_float_formula(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..64 {
+            let (value, factor) = scale_case(&mut rng);
             prop_assert_eq!(
-                tree.remaining_cpu_budget(g.id(), window),
-                walked.map(|q| window.scale(q).saturating_sub(g.charged_cpu()))
+                Usecs(value).scale(factor),
+                scale_by_float(Usecs(value), factor),
+                "{} x {}",
+                value,
+                factor
             );
         }
+    }
+
+    /// The slot-backed `FdTable` agrees with a `BTreeMap` model under
+    /// random `alloc`/`get`/`get_mut`/`close`/`close_all` sequences that
+    /// probe negative and huge fds and hit `EMFILE` at small limits.
+    #[test]
+    fn fd_table_matches_a_map_model(seed in any::<u64>(), steps in 1usize..160) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let limit = if rng.gen_bool(0.5) { rng.gen_range(3u32..12) } else { 1024 };
+        let mut table = FdTable::new();
+        let mut model: BTreeMap<i32, FdObject> = BTreeMap::new();
+        let mut next_fd = 3;
+        for _ in 0..steps {
+            let probe = match rng.gen_range(0..4) {
+                0 => rng.gen_range(-4..next_fd + 4),
+                1 => -rng.gen_range(1..i32::MAX),
+                2 => i32::MAX - rng.gen_range(0..4),
+                _ => rng.gen_range(0..next_fd.max(1)),
+            };
+            match rng.gen_range(0..10) {
+                0..=3 => {
+                    let obj = match rng.gen_range(0..4) {
+                        0 => FdObject::File { ino: rng.gen_range(1..64), offset: 0 },
+                        1 => FdObject::Inotify,
+                        2 => FdObject::Socket { audit: rng.gen_bool(0.5) },
+                        _ => FdObject::PipeEnd,
+                    };
+                    let expected = if model.len() as u32 + 3 >= limit {
+                        Err(Errno::EMFILE)
+                    } else {
+                        model.insert(next_fd, obj.clone());
+                        next_fd += 1;
+                        Ok(Fd(next_fd - 1))
+                    };
+                    prop_assert_eq!(table.alloc(obj, limit), expected);
+                }
+                4 | 5 => prop_assert_eq!(table.get(Fd(probe)), model.get(&probe)),
+                6 => {
+                    if let Some(FdObject::File { offset, .. }) = table.get_mut(Fd(probe)) {
+                        *offset += 1;
+                    }
+                    if let Some(FdObject::File { offset, .. }) = model.get_mut(&probe) {
+                        *offset += 1;
+                    }
+                }
+                7 | 8 => prop_assert_eq!(
+                    table.close(Fd(probe)),
+                    model.remove(&probe).map(|_| ()).ok_or(Errno::EBADF)
+                ),
+                _ => {
+                    table.close_all();
+                    model.clear();
+                    next_fd = 3;
+                }
+            }
+            prop_assert_eq!(table.len(), model.len());
+            prop_assert_eq!(table.is_empty(), model.is_empty());
+        }
+        for fd in -4..next_fd + 4 {
+            prop_assert_eq!(table.get(Fd(fd)), model.get(&fd));
+        }
+    }
+}
+
+/// The float formula `Usecs::scale` replaced, kept as its reference.
+fn scale_by_float(value: Usecs, factor: f64) -> Usecs {
+    Usecs((value.0 as f64 * factor).round() as u64)
+}
+
+/// One `(value, factor)` pair for the `Usecs::scale` property.
+fn scale_case(rng: &mut StdRng) -> (u64, f64) {
+    // Factors the kernel scales by: zero and one, noise and glue
+    // fractions, runtime overheads (runC, Kata, gVisor) and their squares.
+    const FACTORS: [f64; 16] = [
+        0.0, 1.0, 0.001, 0.002, 0.004, 0.005, 0.2, 0.3, 0.5, 0.55, 0.6, 1.35, 1.8225, 2.2, 4.84,
+        6.0,
+    ];
+    match rng.gen_range(0..4) {
+        // Random magnitudes by random factors.
+        0 => {
+            let value = rng.next_u64() >> rng.gen_range(0u32..64);
+            let factor = match rng.gen_range(0..4) {
+                0 => FACTORS[rng.gen_range(0..FACTORS.len())],
+                // A cgroup quota, or a quota clamp ratio.
+                1 => rng.gen_range(0.05..8.0),
+                2 => rng.gen_range(0.0..1.0),
+                _ => rng.gen_range(0.0..1e6),
+            };
+            (value, factor)
+        }
+        // Exact ties: an odd value times an odd number of halves, or a
+        // value of 2 mod 4 times a quarter; every product is exact.
+        1 => {
+            let odd = (rng.next_u64() >> rng.gen_range(16u32..64)) | 1;
+            if rng.gen_bool(0.5) {
+                (odd, f64::from(2 * rng.gen_range(0u32..8) + 1) / 2.0)
+            } else {
+                ((odd >> 1) * 4 + 2, 0.25)
+            }
+        }
+        // The edges of f64 precision and of u64, by the kernel's factors.
+        2 => {
+            let anchors = [1u64 << 52, 1 << 53, 1 << 63, u64::MAX, u64::MAX / 4];
+            let anchor = anchors[rng.gen_range(0..anchors.len())];
+            let value = anchor
+                .saturating_sub(32)
+                .saturating_add(rng.gen_range(0..64));
+            (value, FACTORS[rng.gen_range(0..FACTORS.len())])
+        }
+        // Small values, where the kernel's microsecond costs live.
+        _ => (
+            rng.gen_range(0..100_000),
+            FACTORS[rng.gen_range(0..FACTORS.len())] * rng.gen_range(0.4..1.6),
+        ),
     }
 }
 
