@@ -422,8 +422,8 @@ impl Engine {
 
     /// Look up a container, locking its stripe for the guard's lifetime.
     /// Holding the guard across several [`Engine::exec_locked`] calls is
-    /// how the executor locks once per program iteration instead of once
-    /// per syscall.
+    /// how the executor locks once per `run_until` window instead of once
+    /// per execution or syscall.
     pub fn container(&self, id: &ContainerId) -> Option<MutexGuard<'_, Container>> {
         self.containers.get(&id.0).map(lock)
     }
@@ -480,8 +480,8 @@ impl Engine {
     }
 
     /// [`Engine::exec_env`] against an already-locked container stripe.
-    /// The executor's hot loop locks the stripe once per program iteration
-    /// and issues every call of the program through this entry point.
+    /// The executor's hot loop locks the stripe once per `run_until` window
+    /// and issues every call of every execution through this entry point.
     ///
     /// # Errors
     /// [`EngineError::NotRunning`] when the container crashed or stopped.
