@@ -20,7 +20,9 @@
 //! * `seed_file` — the program deserializer, [`SeedCorpus::load`] and the
 //!   `torpedo-corpus-v1` importer.
 //! * `snapshot_bundle` — [`torpedo_core::parse_snapshot`]
-//!   (`torpedo-snapshot-v1`).
+//!   (`torpedo-snapshot-v1`), on each mutant as it is and again with its
+//!   hash tail re-sealed, since nearly every mutation breaks the hash and
+//!   would otherwise never reach the member reader.
 //! * `events_journal` — [`parse_journal`] (`torpedo-events-v1`), plus
 //!   [`Event::parse`] on every line, since a mutated journal rarely gets
 //!   past the hash check to its event lines.
@@ -323,6 +325,9 @@ fn fuzz_target(target: &str, seeds: &[Vec<u8>], budget: Duration, table: &[Sysca
             }
             "snapshot_bundle" => {
                 std::hint::black_box(parse_snapshot(text).is_ok());
+                let body = text.rfind(",\"hash\":\"").map_or(text, |end| &text[..end]);
+                let sealed = format!("{body},\"hash\":\"{:#018x}\"}}", fnv64(body.as_bytes()));
+                std::hint::black_box(parse_snapshot(&sealed).is_ok());
             }
             "events_journal" => {
                 std::hint::black_box(parse_journal(text).is_ok());

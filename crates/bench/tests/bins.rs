@@ -417,3 +417,49 @@ fn parser_fuzz_makes_progress_on_every_target() {
         assert!(seeded, "{} holds no seed input", corpus.display());
     }
 }
+
+/// The committed seed corpora are what `--emit-corpus` writes today, byte
+/// for byte: a format change that leaves them stale has the fuzzers
+/// mutating inputs their parser already rejects.
+#[test]
+fn committed_fuzz_seeds_match_a_fresh_emission() {
+    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    let dir = scratch("emit-corpus");
+    let emit = run(
+        env!("CARGO_BIN_EXE_parser_fuzz"),
+        &["--emit-corpus", path_str(&dir)],
+    );
+    assert!(emit.success, "{}", emit.stderr);
+    let committed = corpus_files(&root.join("fuzz/corpora"));
+    let fresh = corpus_files(&dir);
+    let names = |files: &[(String, Vec<u8>)]| files.iter().map(|f| f.0.clone()).collect::<Vec<_>>();
+    assert_eq!(names(&committed), names(&fresh));
+    for ((name, bytes), (_, emitted)) in committed.iter().zip(&fresh) {
+        assert!(
+            bytes == emitted,
+            "fuzz/corpora/{name} differs from a fresh --emit-corpus"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every `<target>/<seed>` file of a corpus directory with its bytes,
+/// sorted by name.
+fn corpus_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files = Vec::new();
+    for target in std::fs::read_dir(dir).expect("corpus dir").flatten() {
+        for seed in std::fs::read_dir(target.path())
+            .expect("target dir")
+            .flatten()
+        {
+            let name = format!(
+                "{}/{}",
+                target.file_name().to_string_lossy(),
+                seed.file_name().to_string_lossy()
+            );
+            files.push((name, std::fs::read(seed.path()).expect("read seed")));
+        }
+    }
+    files.sort();
+    files
+}

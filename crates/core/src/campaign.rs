@@ -3,7 +3,7 @@
 //! admission, crash handling, and offline oracle flagging together
 //! (§4.1's testing procedure).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 
@@ -29,7 +29,7 @@ use crate::crash::{reproduce_and_minimize, CrashRecord};
 use crate::error::TorpedoError;
 use crate::forensics::{
     deferral_excerpt, BundleKind, FlightRecorder, ForensicsBundle, MinimizationSummary,
-    FORENSICS_MINIMIZE_CAP,
+    DEFERRAL_EXCERPT_CAP, FORENSICS_MINIMIZE_CAP,
 };
 use crate::minimize::{minimize_with_oracle, ViolationHarness};
 use crate::observer::{Observer, ObserverConfig, RoundRecord};
@@ -75,10 +75,6 @@ pub struct CampaignConfig {
     /// recorder never touches the campaign RNG, so every other report
     /// field is byte-identical with this on or off.
     pub forensics: bool,
-    /// The shard index stamped into lineage records and bundles. It is
-    /// part of the `torpedo-snapshot-v1` and `torpedo-forensics-v1` bytes;
-    /// campaigns leave the default 0.
-    pub shard_index: usize,
     /// Periodic crash-safe checkpointing (`None`, the default, writes
     /// nothing). When set, a `torpedo-snapshot-v1` bundle is written every
     /// [`CheckpointConfig::interval_rounds`] rounds;
@@ -119,7 +115,6 @@ impl Default for CampaignConfig {
             parallel: false,
             status_addr: None,
             forensics: false,
-            shard_index: 0,
             checkpoint: None,
             warm_start: None,
             directed: None,
@@ -142,7 +137,9 @@ pub struct RoundLog {
     /// The programs that ran, executor-indexed — copy-on-write handles,
     /// so logging a round shares the batch instead of deep-copying it.
     pub programs: Vec<Arc<Program>>,
-    /// Ground-truth deferrals (confirmation stage only).
+    /// The round's first [`DEFERRAL_EXCERPT_CAP`] ground-truth deferral
+    /// events: the excerpt a forensics bundle carries. Oracles never see
+    /// them.
     pub deferrals: Vec<DeferralEvent>,
     /// Program executions completed this round, summed over executors.
     pub executions: u64,
@@ -500,8 +497,7 @@ impl Campaign {
         let mut programs = seeds.programs.clone();
         let mut warm_started = 0usize;
         if let Some(corpus) = &self.config.warm_start {
-            let mut known: std::collections::HashSet<ProgramId> =
-                programs.iter().map(|p| ProgramId::of(p)).collect();
+            let mut known: HashSet<ProgramId> = programs.iter().map(|p| ProgramId::of(p)).collect();
             for item in corpus.items() {
                 if known.insert(ProgramId::of(&item.program)) {
                     programs.push(Arc::clone(&item.program));
@@ -565,10 +561,7 @@ impl Campaign {
         // The flight recorder exists only when forensics is on; every hook
         // in the stepper is a no-op `if let` otherwise, and none of them
         // touch the campaign RNG — reports are byte-identical either way.
-        let mut recorder = self
-            .config
-            .forensics
-            .then(|| FlightRecorder::new(self.config.shard_index));
+        let mut recorder = self.config.forensics.then(FlightRecorder::default);
 
         // Checkpoint/replay state. Rendering a bundle at a round boundary
         // needs the per-round journal; both are tracked only when a
@@ -581,16 +574,10 @@ impl Campaign {
             .filter(|c| c.interval_rounds > 0);
         let track_state = checkpoint.is_some() || resume.is_some() || track_for_park;
         // Checkpoint persistence runs off the round critical path on a
-        // background thread when the host has a spare core to run it;
-        // on a serialized (1-core) host the offload only adds context
-        // switches, so it stays inline.
-        let ckpt_writer = checkpoint.as_ref().map(|_| {
-            if std::thread::available_parallelism().map_or(1, |n| n.get()) == 1 {
-                CheckpointWriter::synchronous(telemetry.clone())
-            } else {
-                CheckpointWriter::spawn(telemetry.clone())
-            }
-        });
+        // background thread.
+        let ckpt_writer = checkpoint
+            .as_ref()
+            .map(|_| CheckpointWriter::spawn(telemetry.clone()));
 
         // Warm-start provenance: corpus-imported programs are lineage
         // roots of round 0 (pre-campaign), recorded before their batch
@@ -620,6 +607,9 @@ impl Campaign {
             cur: None,
             done: false,
             logs: Vec::new(),
+            flagged: Vec::new(),
+            flagged_ids: HashSet::new(),
+            flagged_rounds: 0,
             corpus: Corpus::new(),
             coverage: CoverageSet::new(),
             raw_crashes: Vec::new(),
@@ -717,6 +707,12 @@ pub struct CampaignRun {
     cur: Option<BatchCursor>,
     done: bool,
     logs: Vec<RoundLog>,
+    // Offline flagging (§3.6.1) in one pass over the logs: the first
+    // `flagged_rounds` logs are flagged, their findings are in `flagged`
+    // in round order, and `flagged_ids` names each finding's program once.
+    flagged: Vec<FlaggedFinding>,
+    flagged_ids: HashSet<ProgramId>,
+    flagged_rounds: usize,
     corpus: Corpus,
     coverage: CoverageSet,
     /// Crash provenance rides along as (batch, round) so a bundle can
@@ -1007,13 +1003,18 @@ impl CampaignRun {
             telemetry.add(CounterId::DirectedOnTarget, on_target);
         }
         let executions: u64 = record.reports.iter().map(|r| r.executions).sum();
+        // The log keeps the excerpt forensics reads and frees the rest: a
+        // deferral-heavy round records thousands of events.
+        let mut deferrals = record.deferrals;
+        deferrals.truncate(DEFERRAL_EXCERPT_CAP);
+        deferrals.shrink_to_fit();
         self.logs.push(RoundLog {
             batch: batch_idx,
             round: self.rounds_total,
             score,
             observation: record.observation,
             programs: ran,
-            deferrals: record.deferrals,
+            deferrals,
             executions,
             fatal_signals: record.reports.iter().map(|r| r.fatal_signals).sum(),
             recovery: round_recovery,
@@ -1266,10 +1267,37 @@ impl CampaignRun {
         self.rounds_total
     }
 
-    /// Every round logged so far (a fleet reads the tail for online
-    /// flagging).
+    /// Every round logged so far.
     pub fn logs(&self) -> &[RoundLog] {
         &self.logs
+    }
+
+    /// Flag the logged rounds no earlier call flagged and return the
+    /// findings they added: one per program, at the first round that
+    /// flagged it. [`CampaignRun::finish`] flags the rest. The pass emits
+    /// no event and leaves the event sequence alone, so where callers put
+    /// it between steps changes no bundle.
+    pub fn flag_new(&mut self, oracle: &dyn Oracle) -> &[FlaggedFinding] {
+        let first_new = self.flagged.len();
+        for log in &self.logs[self.flagged_rounds..] {
+            let violations = Arc::new(oracle.flag(&log.observation));
+            if violations.is_empty() {
+                continue;
+            }
+            for program in &log.programs {
+                if self.flagged_ids.insert(ProgramId::of(program)) {
+                    self.flagged.push(FlaggedFinding {
+                        program: Arc::clone(program),
+                        violations: Arc::clone(&violations),
+                        score: log.score,
+                        batch: log.batch,
+                        round: log.round,
+                    });
+                }
+            }
+        }
+        self.flagged_rounds = self.logs.len();
+        &self.flagged[first_new..]
     }
 
     /// Distinct coverage signals observed so far.
@@ -1289,11 +1317,11 @@ impl CampaignRun {
         self.done
     }
 
-    /// Assemble the final report: drain the checkpoint writer, run offline
-    /// flagging over the logs, reproduce crashes, package forensics, and
-    /// render the final status page. Callable at any step boundary — the
-    /// fleet finishes budget-exhausted campaigns early; flagging simply
-    /// covers the rounds that ran.
+    /// Assemble the final report: drain the checkpoint writer, flag the
+    /// rounds [`CampaignRun::flag_new`] has not, reproduce crashes, package
+    /// forensics, and render the final status page. Callable at any step
+    /// boundary — the fleet finishes budget-exhausted campaigns early;
+    /// flagging simply covers the rounds that ran.
     ///
     /// # Errors
     /// Queued checkpoint-write failures, and replay divergence when a
@@ -1310,25 +1338,8 @@ impl CampaignRun {
         // Offline flagging (§3.6.1): parse the round logs and isolate
         // adversarial programs asynchronously from execution.
         let flag_span = telemetry.span(SpanKind::Oracle);
-        let mut flagged: Vec<FlaggedFinding> = Vec::new();
-        let mut seen_programs: std::collections::HashSet<ProgramId> = Default::default();
-        for log in &self.logs {
-            let violations = Arc::new(oracle.flag(&log.observation));
-            if violations.is_empty() {
-                continue;
-            }
-            for program in &log.programs {
-                if seen_programs.insert(ProgramId::of(program)) {
-                    flagged.push(FlaggedFinding {
-                        program: Arc::clone(program),
-                        violations: Arc::clone(&violations),
-                        score: log.score,
-                        batch: log.batch,
-                        round: log.round,
-                    });
-                }
-            }
-        }
+        self.flag_new(oracle);
+        let mut flagged = std::mem::take(&mut self.flagged);
         flagged.sort_by(|a, b| {
             b.score
                 .partial_cmp(&a.score)
@@ -1468,7 +1479,7 @@ impl CampaignRun {
             ForensicsBundle {
                 kind,
                 runtime: runtime.clone(),
-                shard: rec.shard(),
+                shard: 0,
                 batch,
                 round,
                 score: log.map_or(0.0, |l| l.score),

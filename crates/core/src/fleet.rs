@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use torpedo_oracle::Oracle;
-use torpedo_prog::{ProgramId, SyscallDesc};
+use torpedo_prog::SyscallDesc;
 use torpedo_telemetry::server::query_param;
 use torpedo_telemetry::{
     safe_div, ControlApi, Event, EventKind, EventLog, StatusServer, StatusShared, Telemetry,
@@ -233,7 +233,6 @@ struct Entry {
     executions: u64,
     windows: u64,
     flags: u64,
-    flag_seen: HashSet<ProgramId>,
     coverage: usize,
     best_score: f64,
     last_score: f64,
@@ -288,7 +287,7 @@ pub struct CampaignRow {
     pub executions: u64,
     /// Execution windows granted.
     pub windows: u64,
-    /// Flagged programs found (online, deduplicated by program id).
+    /// Flagged programs found (deduplicated by program id).
     pub flags: u64,
     /// Distinct coverage signals.
     pub coverage: usize,
@@ -465,16 +464,15 @@ impl ControlApi for FleetControl {
     }
 }
 
-/// A window handed to the worker pool: the booted run, its oracle, the
-/// round target, and the flag-dedup set (moved in so scoring happens on
-/// the worker, off the scheduler thread).
+/// A window handed to the worker pool: the booted run, its oracle and the
+/// round target (scoring and flagging happen on the worker, off the
+/// scheduler thread).
 struct Assignment {
     entry_id: usize,
     run: Box<CampaignRun>,
     oracle: FleetOracle,
     target_rounds: u64,
     rounds_before: u64,
-    flag_seen: HashSet<ProgramId>,
     best_score: f64,
 }
 
@@ -485,7 +483,6 @@ struct WindowResult {
     run: Option<Box<CampaignRun>>,
     report: Option<CampaignReport>,
     error: Option<String>,
-    flag_seen: HashSet<ProgramId>,
     rounds_after: u64,
     executions_delta: u64,
     flags_delta: u64,
@@ -561,7 +558,6 @@ impl Fleet {
             executions: 0,
             windows: 0,
             flags: 0,
-            flag_seen: HashSet::new(),
             coverage: 0,
             best_score: 0.0,
             last_score: 0.0,
@@ -833,7 +829,6 @@ impl Fleet {
                         oracle: Arc::clone(&entry.oracle),
                         target_rounds: rounds_before + window,
                         rounds_before,
-                        flag_seen: std::mem::take(&mut entry.flag_seen),
                         best_score: entry.best_score,
                     });
                 }
@@ -887,7 +882,6 @@ impl Fleet {
             entry.executions += res.executions_delta;
             entry.windows += 1;
             entry.flags += res.flags_delta;
-            entry.flag_seen = res.flag_seen;
             entry.coverage = res.coverage_after;
             entry.best_score = res.best_score;
             entry.last_score = res.last_score;
@@ -1245,17 +1239,29 @@ fn tenant_file_stem(id: usize) -> String {
     format!("fleet-campaign-{id:05}")
 }
 
-/// Run one window to its round target (or campaign completion) and score
-/// the new rounds. Everything here is per-campaign deterministic; only
-/// the `exec_ns` timing depends on the host.
+/// Run one window to its round target (or campaign completion), then
+/// flag it. Rounds at or below `rounds_before` replay an unparked run and
+/// count nowhere: their re-flagging only rebuilds the run's dedup set.
+/// Everything here is per-campaign deterministic; only the `exec_ns`
+/// timing depends on the host.
 fn execute_window(mut assignment: Assignment) -> WindowResult {
     let started = Instant::now();
     let oracle: &dyn Oracle = assignment.oracle.as_ref();
+    let rounds_before = assignment.rounds_before;
     let mut completed = false;
     let mut error: Option<String> = None;
+    let mut executions_delta = 0;
+    let mut last_score = f64::NAN;
+    let mut best_score = assignment.best_score;
     while assignment.run.rounds_total() < assignment.target_rounds {
         match assignment.run.step(oracle) {
-            Ok(CampaignStep::Ran(_)) => {}
+            Ok(CampaignStep::Ran(summary)) => {
+                if summary.round > rounds_before {
+                    executions_delta += summary.executions;
+                    last_score = summary.score;
+                    best_score = best_score.max(summary.score);
+                }
+            }
             Ok(CampaignStep::Done) => {
                 completed = true;
                 break;
@@ -1266,32 +1272,18 @@ fn execute_window(mut assignment: Assignment) -> WindowResult {
             }
         }
     }
-
-    // Score the window's new rounds (replayed rounds excluded): online
-    // flagging with the same per-program dedup the offline pass uses.
-    let mut executions_delta = 0;
-    let mut flags_delta = 0;
-    let mut last_score = f64::NAN;
-    let mut best_score = assignment.best_score;
-    let mut last_flag_round = None;
-    for log in assignment.run.logs() {
-        if log.round <= assignment.rounds_before {
-            continue;
-        }
-        executions_delta += log.executions;
-        last_score = log.score;
-        best_score = best_score.max(log.score);
-        if !oracle.flag(&log.observation).is_empty() {
-            for program in &log.programs {
-                if assignment.flag_seen.insert(ProgramId::of(program)) {
-                    flags_delta += 1;
-                    last_flag_round = Some(log.round);
-                }
-            }
-        }
-    }
     if last_score.is_nan() {
         last_score = 0.0;
+    }
+    // Flag the window once, after its last step: flagging stays apart
+    // from execution (§3.6.1), and no `flag` call lands between two of
+    // the window's rounds.
+    let (mut flags_delta, mut last_flag_round) = (0, None);
+    for finding in assignment.run.flag_new(oracle) {
+        if finding.round > rounds_before {
+            flags_delta += 1;
+            last_flag_round = Some(finding.round);
+        }
     }
     let rounds_after = assignment.run.rounds_total();
     let coverage_after = assignment.run.coverage_signals();
@@ -1315,7 +1307,6 @@ fn execute_window(mut assignment: Assignment) -> WindowResult {
         run,
         report,
         error,
-        flag_seen: assignment.flag_seen,
         rounds_after,
         executions_delta,
         flags_delta,

@@ -98,7 +98,8 @@ pub struct LineageRecord {
     pub batch: usize,
     /// Global round number of its first run.
     pub round: u64,
-    /// Shard that produced it (0 for unsharded campaigns).
+    /// Shard that produced it: always 0 since campaigns stopped being
+    /// sharded, kept because the v1 formats carry it.
     pub shard: usize,
     /// The parent's round score at mutation time (0.0 for roots).
     pub pre_score: f64,
@@ -246,28 +247,23 @@ impl TrajectoryBook {
 /// Owned by [`crate::campaign::Campaign::run`] only when forensics is on.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    shard: usize,
     lineage: LineageBook,
     trajectories: TrajectoryBook,
     quarantines: Vec<(ProgramId, Arc<Program>, usize, u64)>,
 }
 
-impl FlightRecorder {
-    /// A recorder for `shard` (0 for unsharded campaigns).
-    pub fn new(shard: usize) -> FlightRecorder {
+impl Default for FlightRecorder {
+    /// An empty recorder.
+    fn default() -> FlightRecorder {
         FlightRecorder {
-            shard,
             lineage: LineageBook::new(DEFAULT_LINEAGE_CAPACITY),
             trajectories: TrajectoryBook::default(),
             quarantines: Vec::new(),
         }
     }
+}
 
-    /// The shard this recorder belongs to.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
+impl FlightRecorder {
     /// Register a lineage root: a seed entering its batch, or a fresh
     /// program swapped in after a crash or quarantine.
     pub fn record_root(&mut self, id: ProgramId, batch: usize, round: u64) {
@@ -278,7 +274,7 @@ impl FlightRecorder {
             op: None,
             batch,
             round,
-            shard: self.shard,
+            shard: 0,
             pre_score: 0.0,
             post_score: None,
         });
@@ -303,7 +299,7 @@ impl FlightRecorder {
             op: Some(LineageOp::Known(op)),
             batch,
             round,
-            shard: self.shard,
+            shard: 0,
             pre_score,
             post_score: None,
         });
@@ -436,7 +432,8 @@ pub struct ForensicsBundle {
     pub kind: BundleKind,
     /// Container runtime the campaign ran against.
     pub runtime: String,
-    /// Shard that produced the finding.
+    /// Shard that produced the finding: always 0 since campaigns stopped
+    /// being sharded, kept because the v1 format carries it.
     pub shard: usize,
     /// Batch index.
     pub batch: usize,
@@ -757,7 +754,7 @@ mod tests {
     #[test]
     fn lineage_book_walks_chains_and_evicts_fifo() {
         let mut book = LineageBook::new(3);
-        let mut rec = FlightRecorder::new(0);
+        let mut rec = FlightRecorder::default();
         rec.record_root(pid(1), 0, 1);
         assert_eq!(rec.chain(pid(1)).len(), 1);
 
@@ -860,13 +857,12 @@ mod tests {
 
     #[test]
     fn post_score_is_first_observation_only() {
-        let mut rec = FlightRecorder::new(2);
+        let mut rec = FlightRecorder::default();
         rec.record_root(pid(5), 1, 4);
         rec.observe_round(1, 4, 12.5, &[pid(5)]);
         rec.observe_round(1, 5, 99.0, &[pid(5)]);
         let record = rec.lineage().get(pid(5)).unwrap();
         assert_eq!(record.post_score, Some(12.5));
-        assert_eq!(record.shard, 2);
         assert_eq!(rec.trajectory(1).len(), 2);
     }
 

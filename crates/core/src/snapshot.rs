@@ -377,7 +377,7 @@ pub fn render_campaign_config(config: &CampaignConfig) -> String {
     push_str_member(&mut out, "runtime", &o.runtime);
     out.push_str(&format!(
         ",\"collider\":{},\"cpus_per_container\":{},\"parallel\":{},\
-         \"max_rounds_per_batch\":{},\"crash_repro_attempts\":{},\"shard_index\":{},\
+         \"max_rounds_per_batch\":{},\"crash_repro_attempts\":{},\"shard_index\":0,\
          \"forensics\":{},\"quarantine_threshold\":{},\
          \"checkpoint_interval\":{ckpt_interval},\"checkpoint_keep\":{ckpt_keep},",
         o.collider,
@@ -385,7 +385,6 @@ pub fn render_campaign_config(config: &CampaignConfig) -> String {
         config.parallel,
         config.max_rounds_per_batch,
         config.crash_repro_attempts,
-        config.shard_index,
         config.forensics,
         o.supervisor.quarantine_threshold,
     ));
@@ -995,26 +994,20 @@ struct CheckpointJob {
 /// [`write_checkpoint`] call moves to a dedicated background thread fed
 /// over an in-order channel. FIFO submission preserves the keep-N
 /// garbage-collection order, so the on-disk directory is byte-identical
-/// to what the old inline writes produced — only the timing moves.
+/// to writing each bundle inline — only the timing moves.
 ///
 /// The writer records one [`SpanKind::Checkpoint`] span per completed
-/// write (timed around `write_checkpoint` itself), keeping the span
-/// count equal to the number of writes exactly as the inline path did.
-///
-/// [`CheckpointWriter::synchronous`] is the inline variant — same API, no
-/// thread. The campaign picks it on 1-core hosts (no spare core to run
-/// the writer on, so the offload only adds context switches).
+/// write (timed around `write_checkpoint` itself), so the span count
+/// equals the number of writes.
 pub struct CheckpointWriter {
     tx: Option<std::sync::mpsc::Sender<CheckpointJob>>,
     handle: Option<std::thread::JoinHandle<Result<(), SnapshotError>>>,
-    telemetry: Telemetry,
 }
 
 impl CheckpointWriter {
     /// Start a background writer thread.
     pub fn spawn(telemetry: Telemetry) -> Self {
         let (tx, rx) = std::sync::mpsc::channel::<CheckpointJob>();
-        let thread_telemetry = telemetry.clone();
         let handle = std::thread::Builder::new()
             .name("torpedo-ckpt".into())
             .spawn(move || {
@@ -1027,7 +1020,7 @@ impl CheckpointWriter {
                         job.keep,
                         job.die_before_rename,
                     )?;
-                    thread_telemetry
+                    telemetry
                         .record_span_ns(SpanKind::Checkpoint, start.elapsed().as_nanos() as u64);
                 }
                 Ok(())
@@ -1036,26 +1029,15 @@ impl CheckpointWriter {
         Self {
             tx: Some(tx),
             handle: Some(handle),
-            telemetry,
         }
     }
 
-    /// An inline variant with the same API: every [`Self::submit`] performs
-    /// the write before returning. Selected on 1-core hosts.
-    pub fn synchronous(telemetry: Telemetry) -> Self {
-        Self {
-            tx: None,
-            handle: None,
-            telemetry,
-        }
-    }
-
-    /// Queue (or, in synchronous mode, perform) one checkpoint write.
+    /// Queue one checkpoint write.
     ///
     /// # Errors
-    /// [`SnapshotError::Io`] — immediately in synchronous mode; in
-    /// background mode a failed earlier write surfaces here once the
-    /// writer thread has died (the error is joined and propagated).
+    /// [`SnapshotError::Io`] from a failed earlier write, once the writer
+    /// thread has died on it (the error is joined and propagated). A
+    /// writer that has reported its failure refuses every later write.
     pub fn submit(
         &mut self,
         dir: PathBuf,
@@ -1064,33 +1046,28 @@ impl CheckpointWriter {
         keep: usize,
         die_before_rename: bool,
     ) -> Result<(), SnapshotError> {
-        match &self.tx {
-            None => {
-                let start = std::time::Instant::now();
-                write_checkpoint(&dir, &text, round, keep, die_before_rename)?;
-                self.telemetry
-                    .record_span_ns(SpanKind::Checkpoint, start.elapsed().as_nanos() as u64);
-                Ok(())
-            }
-            Some(tx) => {
-                let job = CheckpointJob {
-                    dir,
-                    text,
-                    round,
-                    keep,
-                    die_before_rename,
-                };
-                if tx.send(job).is_ok() {
-                    return Ok(());
-                }
-                // The receiver is gone: the writer thread died on an I/O
-                // error. Join it to surface the real failure.
-                self.tx = None;
-                match self.handle.take().map(|h| h.join()) {
-                    Some(Ok(result)) => result,
-                    _ => Ok(()), // panicked or already joined; nothing better to report
-                }
-            }
+        let Some(tx) = &self.tx else {
+            return Err(SnapshotError::Io {
+                path: dir,
+                source: std::io::Error::other("checkpoint writer stopped after a failed write"),
+            });
+        };
+        let job = CheckpointJob {
+            dir,
+            text,
+            round,
+            keep,
+            die_before_rename,
+        };
+        if tx.send(job).is_ok() {
+            return Ok(());
+        }
+        // The receiver is gone: the writer thread died on an I/O error.
+        // Join it to surface the real failure.
+        self.tx = None;
+        match self.handle.take().map(|h| h.join()) {
+            Some(Ok(result)) => result,
+            _ => Ok(()), // panicked; nothing better to report
         }
     }
 

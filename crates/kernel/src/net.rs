@@ -91,8 +91,6 @@ pub enum SocketOutcome {
 /// Kernel network state.
 #[derive(Debug, Clone)]
 pub struct NetState {
-    /// Families with a compiled-in or already-loaded implementation.
-    builtin: HashSet<u64>,
     /// When `true`, model the *patched* kernel that caches negative module
     /// lookups (the mitigation the paper proposes submitting). The default
     /// `false` reproduces the vulnerable mainline behaviour.
@@ -114,9 +112,7 @@ impl NetState {
     /// Desktop-kernel default: common families built in, negative caching
     /// off (the vulnerable configuration the paper fuzzed).
     pub fn new() -> NetState {
-        let builtin = [1u64, 2, 10, 16, 17].into_iter().collect();
         NetState {
-            builtin,
             negative_cache_enabled: false,
             negative_cache: HashSet::new(),
             modprobe_exec_count: 0,
@@ -216,11 +212,6 @@ impl NetState {
                 })
             }
         }
-    }
-
-    /// Whether `family_raw` has a loaded implementation.
-    pub fn family_available(&self, family_raw: u64) -> bool {
-        self.builtin.contains(&family_raw)
     }
 }
 

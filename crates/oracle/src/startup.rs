@@ -52,14 +52,6 @@ impl StartupOracle {
         StartupOracle::default()
     }
 
-    /// An oracle with custom configuration.
-    pub fn with_config(config: StartupConfig) -> StartupOracle {
-        StartupOracle {
-            config,
-            ..StartupOracle::default()
-        }
-    }
-
     /// Feed startup samples (mutates the baseline); returns violations for
     /// the degraded warm samples.
     pub fn ingest(&mut self, samples: &[Usecs]) -> Vec<Violation> {

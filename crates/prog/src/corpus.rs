@@ -63,25 +63,6 @@ impl Corpus {
         Some(&self.items[idx].program)
     }
 
-    /// Items flagged as adversarial, most adversarial first.
-    pub fn flagged(&self) -> Vec<&CorpusItem> {
-        let mut out: Vec<&CorpusItem> = self.items.iter().filter(|i| i.flagged).collect();
-        out.sort_by(|a, b| {
-            b.best_score
-                .partial_cmp(&a.best_score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        out
-    }
-
-    /// Update the best score for item `index`, keeping the maximum.
-    pub fn record_score(&mut self, index: usize, score: f64, flagged: bool) {
-        if let Some(item) = self.items.get_mut(index) {
-            item.best_score = item.best_score.max(score);
-            item.flagged |= flagged;
-        }
-    }
-
     /// Serialize the corpus to its on-disk text form: one header comment
     /// plus the program per entry, entries separated by blank lines — the
     /// syz-db-style persistence that lets campaigns resume with the corpus
@@ -178,17 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn flagged_sorted_by_score() {
-        let mut corpus = Corpus::new();
-        corpus.add(item(1.0, true));
-        corpus.add(item(9.0, true));
-        corpus.add(item(5.0, false));
-        let flagged = corpus.flagged();
-        assert_eq!(flagged.len(), 2);
-        assert_eq!(flagged[0].best_score, 9.0);
-    }
-
-    #[test]
     fn save_load_round_trip() {
         use crate::table::build_table;
         let table = build_table();
@@ -227,17 +197,5 @@ mod tests {
         let text = "# signals=1 score=1 flagged=false\nsync()\n\n# signals=1 score=1 flagged=false\nbogus()\n";
         let err = Corpus::load(text, &table).unwrap_err();
         assert_eq!(err.0, 1);
-    }
-
-    #[test]
-    fn record_score_keeps_max_and_sticky_flag() {
-        let mut corpus = Corpus::new();
-        corpus.add(item(5.0, false));
-        corpus.record_score(0, 2.0, true);
-        assert_eq!(corpus.items()[0].best_score, 5.0);
-        assert!(corpus.items()[0].flagged);
-        corpus.record_score(0, 8.0, false);
-        assert_eq!(corpus.items()[0].best_score, 8.0);
-        assert!(corpus.items()[0].flagged, "flag is sticky");
     }
 }

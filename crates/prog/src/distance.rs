@@ -15,7 +15,7 @@
 //! no kernel state, so directed campaigns keep the two-u64 determinism
 //! contract (the map is a pure function of the rendered config).
 
-use crate::desc::{ArgType, InterfaceGroup, SyscallDesc};
+use crate::desc::{ArgType, SyscallDesc};
 
 /// What a directed campaign steers toward.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -164,12 +164,6 @@ impl DistanceMap {
         }
     }
 
-    /// The smallest recorded distance (0 whenever the target set is
-    /// non-empty) — telemetry uses this to report reachability.
-    pub fn min_distance(&self) -> Option<u32> {
-        self.distances.iter().flatten().copied().min()
-    }
-
     /// How many syscalls have a finite distance.
     pub fn reachable(&self) -> usize {
         self.distances.iter().flatten().count()
@@ -195,12 +189,6 @@ fn consumes_of(consumer: &SyscallDesc, producer: &SyscallDesc) -> bool {
         .args
         .iter()
         .any(|spec| matches!(spec.ty, ArgType::Res(wanted) if wanted.accepts(produced)))
-}
-
-/// Convenience: whether any call in a group list belongs to `group` —
-/// used by tests asserting graph shape.
-pub fn group_of(table: &[SyscallDesc], idx: usize) -> InterfaceGroup {
-    table[idx].group
 }
 
 #[cfg(test)]

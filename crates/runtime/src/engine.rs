@@ -272,11 +272,6 @@ impl Engine {
         self.faults = Some(injector);
     }
 
-    /// Remove the fault injector (back to the zero-cost production path).
-    pub fn clear_fault_injector(&mut self) {
-        self.faults = None;
-    }
-
     /// Install a telemetry handle; the engine's round-overhead charge then
     /// records under the `snapshot` span (nested inside the observer's).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
@@ -433,13 +428,6 @@ impl Engine {
         let mut names: Vec<&String> = self.containers.keys().collect();
         names.sort();
         names.into_iter().map(|n| ContainerId(n.clone())).collect()
-    }
-
-    /// The execution policy of the runtime backing `id`.
-    pub fn policy_of(&self, id: &ContainerId) -> Option<torpedo_kernel::syscalls::ExecPolicy> {
-        self.containers
-            .get(&id.0)
-            .map(|stripe| lock(stripe).runtime.policy())
     }
 
     /// Execute one syscall inside a container (no collider).

@@ -5,6 +5,7 @@
 //! artifact are worker-count invariant (pinned by proptest).
 
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use torpedo_prop::prelude::*;
@@ -16,7 +17,9 @@ use torpedo_core::seeds::{default_denylist, SeedCorpus};
 use torpedo_core::{load_checkpoint, CampaignState, CheckpointConfig, Telemetry};
 use torpedo_integration_tests::table;
 use torpedo_kernel::Usecs;
-use torpedo_oracle::CpuOracle;
+use torpedo_oracle::observation::Observation;
+use torpedo_oracle::violation::Violation;
+use torpedo_oracle::{CpuOracle, Oracle};
 use torpedo_prog::{DirectedTarget, MutatePolicy};
 
 /// A deliberately small per-tenant campaign: 1-second windows, one
@@ -149,6 +152,71 @@ fn bounded_working_set_parks_through_snapshots() {
     // Park/unpark is invisible in the deterministic report.
     let again = run_fleet(config, 6);
     assert_eq!(outcome.render(), again.render());
+}
+
+/// The CPU oracle, counting its calls.
+#[derive(Debug, Default)]
+struct CountingOracle {
+    inner: CpuOracle,
+    scores: AtomicU64,
+    flags: AtomicU64,
+}
+
+impl Oracle for CountingOracle {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn score(&self, obs: &Observation) -> f64 {
+        self.scores.fetch_add(1, Ordering::Relaxed);
+        self.inner.score(obs)
+    }
+
+    fn flag(&self, obs: &Observation) -> Vec<Violation> {
+        self.flags.fetch_add(1, Ordering::Relaxed);
+        self.inner.flag(obs)
+    }
+}
+
+/// A fleet flags every round it steps once, parked or not: one `flag`
+/// call per `score` call, replayed unpark rounds included. The flags it
+/// counts are the findings its tenants' reports hold, and parking does
+/// not change them.
+#[test]
+fn fleet_flags_each_stepped_round_once() {
+    let mut flags_total = Vec::new();
+    for max_active in [usize::MAX, 2] {
+        let oracle = Arc::new(CountingOracle::default());
+        let mut fleet = Fleet::new(FleetConfig {
+            workers: 2,
+            max_active,
+            window_rounds: 2,
+            window_rounds_max: 6,
+            round_budget: 96,
+            keep_reports: true,
+            ..FleetConfig::default()
+        });
+        for i in 0..8 {
+            fleet.admit(FleetSpec {
+                oracle: oracle.clone(),
+                ..spec(i)
+            });
+        }
+        let outcome = fleet.run().unwrap();
+        let scores = oracle.scores.load(Ordering::Relaxed);
+        let flags = oracle.flags.load(Ordering::Relaxed);
+        assert!(scores > 0);
+        assert_eq!(
+            flags, scores,
+            "flag vs score calls at max_active {max_active}"
+        );
+        assert_eq!(outcome.reports.len(), 8, "every tenant finishes");
+        let found: usize = outcome.reports.iter().map(|(_, r)| r.flagged.len()).sum();
+        assert_eq!(outcome.flags_total, found as u64);
+        flags_total.push(outcome.flags_total);
+    }
+    assert!(flags_total[0] > 0);
+    assert_eq!(flags_total[0], flags_total[1]);
 }
 
 #[test]

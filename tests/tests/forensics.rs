@@ -7,15 +7,16 @@
 
 use torpedo_core::campaign::{Campaign, CampaignConfig, CampaignReport};
 use torpedo_core::executor::GlueCost;
-use torpedo_core::forensics::{parse_bundle, BundleKind, ForensicsBundle};
+use torpedo_core::forensics::{parse_bundle, BundleKind, ForensicsBundle, DEFERRAL_EXCERPT_CAP};
 use torpedo_core::minimize::ViolationHarness;
-use torpedo_core::observer::ObserverConfig;
+use torpedo_core::observer::{Observer, ObserverConfig};
 use torpedo_core::seeds::{default_denylist, SeedCorpus};
 use torpedo_integration_tests::table;
 use torpedo_kernel::{KernelConfig, Usecs};
 use torpedo_oracle::violation::{violation_kinds, HeuristicKind};
 use torpedo_oracle::{CpuOracle, IoOracle, Oracle};
 use torpedo_prog::{deserialize, MutatePolicy, ProgramId};
+use torpedo_telemetry::wire::fnv64;
 
 /// The five Table 4.2 runC OOB recreation patterns (§4.2).
 const RUNC_OOB_PATTERNS: [(&str, &str); 5] = [
@@ -153,6 +154,60 @@ fn all_five_runc_oob_patterns_emit_replayable_bundles() {
         );
     }
 }
+
+/// A round log keeps only the deferral excerpt forensics reads. Replaying
+/// the logged rounds through a fresh observer recovers each round's whole
+/// ledger: every log holds the first `min(events, DEFERRAL_EXCERPT_CAP)`
+/// of its round's events, the storms push rounds past the cap, and the
+/// bundles hash to the digest of a run whose logs kept every event.
+#[test]
+fn round_logs_keep_only_the_deferral_excerpt() {
+    let t = table();
+    let patterns: Vec<&str> = RUNC_OOB_PATTERNS.iter().map(|(_, p)| *p).collect();
+    let seeds = SeedCorpus::load(&patterns, &t, &default_denylist()).unwrap();
+    let config = forensics_config();
+    let report = Campaign::new(config.clone(), t.clone())
+        .run(&seeds, &CpuOracle::new())
+        .unwrap();
+
+    let mut observer = Observer::new(config.kernel, config.observer).unwrap();
+    let mut batch = None;
+    let mut capped = 0;
+    for log in &report.logs {
+        if batch != Some(log.batch) {
+            observer.restart_crashed().unwrap();
+            batch = Some(log.batch);
+        }
+        let record = observer.round(&t, &log.programs).unwrap();
+        assert_eq!(
+            format!("{:?}", record.observation),
+            format!("{:?}", log.observation),
+            "round {} must replay as it ran",
+            log.round
+        );
+        for _ in record.reports.iter().filter(|r| r.crash.is_some()) {
+            observer.restart_crashed().unwrap();
+        }
+        let kept = record.deferrals.len().min(DEFERRAL_EXCERPT_CAP);
+        assert_eq!(
+            log.deferrals,
+            record.deferrals[..kept],
+            "round {}",
+            log.round
+        );
+        capped += usize::from(record.deferrals.len() > DEFERRAL_EXCERPT_CAP);
+    }
+    assert!(capped > 0, "no round's ledger outgrew the excerpt");
+
+    let bundles: String = report.forensics.iter().map(|b| b.to_json()).collect();
+    assert!(!report.forensics.is_empty());
+    assert_eq!(fnv64(bundles.as_bytes()), BUNDLES_DIGEST, "{bundles}");
+}
+
+/// FNV-1a of the concatenated bundles of
+/// [`round_logs_keep_only_the_deferral_excerpt`]'s campaign, from a build
+/// whose round logs kept every deferral event.
+const BUNDLES_DIGEST: u64 = 0xa071_90ed_64d2_a6c7;
 
 #[test]
 fn bundles_carry_lineage_back_to_the_seed() {
