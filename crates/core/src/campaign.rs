@@ -43,6 +43,10 @@ use crate::snapshot::{
 };
 use crate::stats::RecoveryStats;
 
+/// Attempts at reproducing each collected crash. The rendered config
+/// fingerprint still records it, as a literal.
+const CRASH_REPRO_ATTEMPTS: u32 = 3;
+
 /// Campaign configuration.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
@@ -58,8 +62,6 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Hard cap on rounds per batch (on top of batch patience).
     pub max_rounds_per_batch: u32,
-    /// Attempts when reproducing crashes.
-    pub crash_repro_attempts: u32,
     /// Run executors on real threads through the [`crate::parallel`]
     /// observer instead of the sequential one.
     pub parallel: bool,
@@ -111,7 +113,6 @@ impl Default for CampaignConfig {
             mutate: MutatePolicy::default(),
             seed: 0x70CA_FE42,
             max_rounds_per_batch: 40,
-            crash_repro_attempts: 3,
             parallel: false,
             status_addr: None,
             forensics: false,
@@ -248,31 +249,6 @@ impl Driver {
             Driver::Par(o) => o.fault_counters(),
         }
     }
-}
-
-/// A borrow of every piece of live campaign state a checkpoint captures,
-/// handed to `Campaign::build_bundle` at a round boundary.
-struct SnapshotView<'a> {
-    seeds: &'a SeedCorpus,
-    warm_started: usize,
-    rounds_total: u64,
-    batch: usize,
-    round_in_batch: u32,
-    batch_stopped: bool,
-    machine: &'a BatchMachine,
-    programs: &'a [Arc<Program>],
-    prog_machines: &'a [ProgramStateMachine],
-    journal: &'a [JournalRound],
-    corpus: &'a Corpus,
-    coverage: &'a CoverageSet,
-    crash_counts: &'a HashMap<ProgramId, u32>,
-    quarantined_ids: &'a BTreeSet<ProgramId>,
-    quarantined: &'a BTreeSet<String>,
-    raw_crashes: &'a [(ContainerCrash, Arc<Program>, usize, u64)],
-    recovery: RecoveryStats,
-    faults: FaultCounters,
-    events_seq: u64,
-    recorder: Option<&'a FlightRecorder>,
 }
 
 /// The campaign driver.
@@ -630,6 +606,7 @@ impl Campaign {
             journal: Vec::new(),
             ckpt_writes: 0,
             ckpt_fault_hits: 0,
+            last_checkpoint_round: None,
             ckpt_writer,
             events: self.config.events.clone(),
             // Fresh and resumed runs both start at 0: replayed rounds
@@ -744,6 +721,9 @@ pub struct CampaignRun {
     // resumed reports stay byte-identical.
     ckpt_writes: u64,
     ckpt_fault_hits: u64,
+    /// The last non-faulted due checkpoint round, replayed rounds included:
+    /// the round its `CheckpointWritten` event carries.
+    last_checkpoint_round: Option<u64>,
     ckpt_writer: Option<CheckpointWriter>,
     // The event stream (DESIGN.md §5g). `events_seq` counts every emission
     // point — even with the disabled handle — so it is a pure function of
@@ -981,7 +961,7 @@ impl CampaignRun {
         // round's delta) — the one ordering at which every bundle render
         // point (the checkpoint hook, resume verification, and the fleet's
         // between-step park) observes the same sequence value.
-        let fault_total = self.observer.fault_counters().total() + self.ckpt_fault_hits;
+        let fault_total = self.fault_counters().total();
         let fault_delta = fault_total.saturating_sub(self.events_fault_total);
         if fault_delta > 0 {
             self.emit(
@@ -1141,6 +1121,7 @@ impl CampaignRun {
                 // sequence stays a pure function of (config, round) and
                 // the bundle rendered inside this hook records the same
                 // counter a resumed replay re-derives.
+                self.last_checkpoint_round = Some(self.rounds_total);
                 self.emit(
                     self.rounds_total,
                     EventKind::CheckpointWritten,
@@ -1158,9 +1139,7 @@ impl CampaignRun {
                 // handed to the background writer: the round
                 // loop no longer waits on fsync. The writer
                 // records the Checkpoint span per write.
-                let mut faults = self.observer.fault_counters();
-                faults.checkpoint_write_fail = self.ckpt_fault_hits;
-                let text = self.render_bundle(cur, stop, faults).render();
+                let text = self.build_bundle(cur, stop).render();
                 let (dir, keep) = {
                     let ckpt = self.checkpoint.as_ref().expect("due implies checkpoint");
                     (ckpt.dir.clone(), ckpt.keep)
@@ -1183,9 +1162,7 @@ impl CampaignRun {
         // the replay really reproduced the writer's campaign.
         if !self.resume_verified && self.rounds_total == self.resume_rounds {
             let _ckpt_span = telemetry.span(SpanKind::Checkpoint);
-            let mut faults = self.observer.fault_counters();
-            faults.checkpoint_write_fail = self.ckpt_fault_hits;
-            let live = self.render_bundle(cur, stop, faults).render();
+            let live = self.build_bundle(cur, stop).render();
             let expected = self
                 .resume_text
                 .as_deref()
@@ -1213,37 +1190,12 @@ impl CampaignRun {
         })
     }
 
-    /// Render the live state exactly as the in-round checkpoint hook
-    /// would: the cursor supplies the batch context, everything else
-    /// comes from the run.
-    fn render_bundle(
-        &self,
-        cur: &BatchCursor,
-        batch_stopped: bool,
-        faults: FaultCounters,
-    ) -> SnapshotBundle {
-        self.build_bundle(SnapshotView {
-            seeds: &self.seeds,
-            warm_started: self.warm_started,
-            rounds_total: self.rounds_total,
-            batch: self.batch_idx,
-            round_in_batch: cur.round_in_batch,
-            batch_stopped,
-            machine: &cur.machine,
-            programs: &cur.programs,
-            prog_machines: &cur.prog_machines,
-            journal: &self.journal,
-            corpus: &self.corpus,
-            coverage: &self.coverage,
-            crash_counts: &self.crash_counts,
-            quarantined_ids: &self.quarantined_ids,
-            quarantined: &self.quarantined,
-            raw_crashes: &self.raw_crashes,
-            recovery: self.observer.recovery(),
-            faults,
-            events_seq: self.events_seq,
-            recorder: self.recorder.as_ref(),
-        })
+    /// Faults injected so far: the observer's, plus the checkpoint
+    /// faults the run's own ledger counts.
+    fn fault_counters(&self) -> FaultCounters {
+        let mut faults = self.observer.fault_counters();
+        faults.checkpoint_write_fail = self.ckpt_fault_hits;
+        faults
     }
 
     /// Render a `torpedo-snapshot-v1` bundle of the current state for the
@@ -1257,14 +1209,18 @@ impl CampaignRun {
             return None;
         }
         let cur = self.cur.as_ref()?;
-        let mut faults = self.observer.fault_counters();
-        faults.checkpoint_write_fail = self.ckpt_fault_hits;
-        Some(self.render_bundle(cur, cur.stopped, faults).render())
+        Some(self.build_bundle(cur, cur.stopped).render())
     }
 
     /// Rounds executed so far (replayed rounds included).
     pub fn rounds_total(&self) -> u64 {
         self.rounds_total
+    }
+
+    /// The round of the last checkpoint that was due and not faulted,
+    /// replayed rounds included (the fleet's checkpoint-lag input).
+    pub fn last_checkpoint_round(&self) -> Option<u64> {
+        self.last_checkpoint_round
     }
 
     /// Every round logged so far.
@@ -1383,7 +1339,7 @@ impl CampaignRun {
                     &self.table,
                     &self.config.kernel,
                     &self.config.observer.runtime,
-                    self.config.crash_repro_attempts,
+                    CRASH_REPRO_ATTEMPTS,
                 )
             })
             .collect();
@@ -1420,8 +1376,7 @@ impl CampaignRun {
 
         let mut recovery = self.observer.recovery();
         recovery.quarantined_programs = self.quarantined.len() as u64;
-        let mut faults_injected = self.observer.fault_counters();
-        faults_injected.checkpoint_write_fail = self.ckpt_fault_hits;
+        let faults_injected = self.fault_counters();
         let report = CampaignReport {
             rounds_total: self.rounds_total,
             logs: self.logs,
@@ -1576,24 +1531,26 @@ impl CampaignRun {
         (program, id)
     }
 
-    /// Render the live campaign state into a [`SnapshotBundle`]. Every
-    /// collection is serialized in a deterministic order (sorted sets,
-    /// insertion-ordered books), so two campaigns in the same state render
-    /// byte-identical bundles — the property resume verification rests on.
-    fn build_bundle(&self, view: SnapshotView<'_>) -> SnapshotBundle {
+    /// Render the live campaign state into a [`SnapshotBundle`], exactly as
+    /// the in-round checkpoint hook would: the cursor supplies the batch
+    /// context, everything else comes from the run. Every collection is
+    /// serialized in a deterministic order (sorted sets, insertion-ordered
+    /// books), so two campaigns in the same state render byte-identical
+    /// bundles — the property resume verification rests on.
+    fn build_bundle(&self, cur: &BatchCursor, batch_stopped: bool) -> SnapshotBundle {
         let ser = |p: &Arc<Program>| torpedo_prog::serialize(p, &self.table);
-        let (state, candidate_score) = match view.machine.state() {
+        let (state, candidate_score) = match cur.machine.state() {
             BatchState::Mutate => ("mutate", None),
             BatchState::Confirm { candidate_score } => ("confirm", Some(candidate_score)),
             BatchState::Exhausted => ("exhausted", None),
         };
-        let mut counts: Vec<(ProgramId, u64)> = view
+        let mut counts: Vec<(ProgramId, u64)> = self
             .crash_counts
             .iter()
             .map(|(&id, &count)| (id, count as u64))
             .collect();
         counts.sort_by_key(|&(id, _)| id);
-        let forensics = view.recorder.map(|rec| ForensicsSnapshot {
+        let forensics = self.recorder.as_ref().map(|rec| ForensicsSnapshot {
             evicted: rec.lineage().evicted(),
             lineage: rec.lineage().records_in_order().cloned().collect(),
             trajectories: rec
@@ -1610,29 +1567,29 @@ impl CampaignRun {
         SnapshotBundle {
             config: render_campaign_config(&self.config),
             rng_seed: self.config.seed,
-            rng_epoch: view.rounds_total,
-            rounds: view.rounds_total,
-            batch: view.batch as u64,
-            round_in_batch: view.round_in_batch as u64,
-            batch_stopped: view.batch_stopped,
-            warm_started: view.warm_started as u64,
-            events_seq: view.events_seq,
-            seeds: view.seeds.programs.iter().map(ser).collect(),
-            journal: view.journal.to_vec(),
+            rng_epoch: self.rounds_total,
+            rounds: self.rounds_total,
+            batch: self.batch_idx as u64,
+            round_in_batch: cur.round_in_batch as u64,
+            batch_stopped,
+            warm_started: self.warm_started as u64,
+            events_seq: self.events_seq,
+            seeds: self.seeds.programs.iter().map(ser).collect(),
+            journal: self.journal.to_vec(),
             machine: MachineSnapshot {
                 state: state.to_string(),
                 candidate_score,
-                best_score: view.machine.best_score(),
-                stale_rounds: view.machine.stale_rounds() as u64,
-                baseline: view.machine.baseline().iter().map(ser).collect(),
-                programs: view.programs.iter().map(ser).collect(),
-                stages: view
+                best_score: cur.machine.best_score(),
+                stale_rounds: cur.machine.stale_rounds() as u64,
+                baseline: cur.machine.baseline().iter().map(ser).collect(),
+                programs: cur.programs.iter().map(ser).collect(),
+                stages: cur
                     .prog_machines
                     .iter()
                     .map(|sm| stage_name(sm.stage()).to_string())
                     .collect(),
             },
-            corpus: view
+            corpus: self
                 .corpus
                 .items()
                 .iter()
@@ -1643,13 +1600,13 @@ impl CampaignRun {
                     program: ser(&item.program),
                 })
                 .collect(),
-            coverage: view.coverage.signals_sorted(),
+            coverage: self.coverage.signals_sorted(),
             quarantine: QuarantineSnapshot {
-                ids: view.quarantined_ids.iter().copied().collect(),
-                programs: view.quarantined.iter().cloned().collect(),
+                ids: self.quarantined_ids.iter().copied().collect(),
+                programs: self.quarantined.iter().cloned().collect(),
                 counts,
             },
-            crashes: view
+            crashes: self
                 .raw_crashes
                 .iter()
                 .map(|(crash, program, batch, round)| CrashSite {
@@ -1661,8 +1618,8 @@ impl CampaignRun {
                     program: ser(program),
                 })
                 .collect(),
-            recovery: view.recovery,
-            faults: view.faults,
+            recovery: self.observer.recovery(),
+            faults: self.fault_counters(),
             forensics,
         }
     }

@@ -6,8 +6,6 @@
 //! the *predicted* end of the next execution would overshoot the round
 //! boundary, so all parallel executors stop at or before `T` (§3.3).
 
-use std::sync::MutexGuard;
-
 use torpedo_kernel::kernel::Kernel;
 use torpedo_kernel::time::Usecs;
 use torpedo_kernel::SyscallRequest;
@@ -136,9 +134,7 @@ impl Executor {
         program: &Program,
         stop_after: Usecs,
     ) -> Result<ExecReport, EngineError> {
-        // Lock this executor's container stripe once for the whole window;
-        // parallel workers contend only when they drive the same container,
-        // never on an engine-wide lock.
+        // Look this executor's container up once for the whole window.
         let container = engine
             .container(&self.container)
             .ok_or_else(|| EngineError::NoSuchContainer(self.container.name().to_string()))?;
@@ -214,7 +210,7 @@ impl Executor {
         window: &mut Window<'_>,
         collect_coverage: bool,
     ) -> Result<StepReport, EngineError> {
-        let container = &mut *window.container;
+        let container = window.container;
         let glue = window.glue;
         // Entry-point glue: charged inside the container.
         let (pid, cgroup, core) = (
@@ -232,7 +228,7 @@ impl Executor {
 
         for call in &program.calls {
             let req = request(table, call, retvals);
-            let exec = engine.exec_locked(kernel, container, req, ExecEnv::default())?;
+            let exec = engine.exec_in(kernel, container, req, ExecEnv::default())?;
             retvals.push(exec.outcome.retval);
             if collect_coverage {
                 coverage.per_call.push(exec.outcome.coverage.to_vec());
@@ -272,8 +268,7 @@ impl Executor {
         if self.collider {
             for call in &program.calls {
                 let req = request(table, call, retvals);
-                let exec =
-                    engine.exec_locked(kernel, container, req, ExecEnv { collider: true })?;
+                let exec = engine.exec_in(kernel, container, req, ExecEnv { collider: true })?;
                 duration += exec.outcome.user + exec.outcome.system + exec.outcome.blocked;
                 blocked += exec.outcome.blocked;
                 if let Some(crash) = exec.crash {
@@ -311,8 +306,8 @@ impl Executor {
 
 /// The state one `LoopUntilTime` window holds across its executions.
 struct Window<'a> {
-    /// The executor's container stripe, locked for the whole window.
-    container: MutexGuard<'a, Container>,
+    /// The executor's container, looked up once for the whole window.
+    container: &'a Container,
     /// The glue each execution pays, under the container's runtime.
     glue: GlueCost,
     table: &'a [SyscallDesc],

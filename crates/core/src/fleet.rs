@@ -70,10 +70,10 @@ pub enum FleetPolicy {
 /// Fleet-wide configuration.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Fleet seed: stamped into the outcome and reserved for jittered
-    /// policies; the shipped policies are fully determined by campaign
-    /// stats, so two fleets with the same campaign set and any worker
-    /// count produce identical schedules.
+    /// Fleet seed, reserved for jittered policies; nothing reads it yet.
+    /// The shipped policies are fully determined by campaign stats, so two
+    /// fleets with the same campaign set and any worker count produce
+    /// identical schedules.
     pub seed: u64,
     /// Worker threads executing windows. `0` means one per available
     /// core. The schedule is worker-count invariant; this only sets
@@ -244,6 +244,9 @@ struct Entry {
     w_score_gain: f64,
     last_scheduled: u64,
     last_flag_round: Option<u64>,
+    /// The run's last checkpoint round (the checkpoint-lag detector's
+    /// input), as of the last absorbed window.
+    last_checkpoint_round: Option<u64>,
     score_trail: VecDeque<f64>,
     error: Option<String>,
     report: Option<CampaignReport>,
@@ -258,8 +261,6 @@ struct Entry {
     /// Consecutive executed windows with zero new coverage (the
     /// coverage-plateau detector's input).
     zero_cov_windows: u64,
-    /// Round of the last drained `checkpoint-written` event.
-    last_checkpoint_round: Option<u64>,
     /// Status-page column: the most notable recent event or health
     /// finding.
     last_event: Option<String>,
@@ -490,6 +491,7 @@ struct WindowResult {
     last_score: f64,
     best_score: f64,
     last_flag_round: Option<u64>,
+    last_checkpoint_round: Option<u64>,
     exec_ns: u64,
 }
 
@@ -568,13 +570,13 @@ impl Fleet {
             w_score_gain: 0.0,
             last_scheduled: admitted_at,
             last_flag_round: None,
+            last_checkpoint_round: None,
             score_trail: VecDeque::new(),
             error: None,
             report: None,
             tenant_events,
             events_cursor: 0,
             zero_cov_windows: 0,
-            last_checkpoint_round: None,
             last_event: None,
         });
         id
@@ -608,7 +610,7 @@ impl Fleet {
     /// Drain one entry's tenant buffer into the fleet log: events at or
     /// below the absorbed cursor are unpark-replay re-emissions and are
     /// skipped; the rest forward verbatim (campaign tag and sequence
-    /// intact) and update the entry's event-derived health inputs.
+    /// intact) and set the entry's status-page `last_event` column.
     fn drain_entry_events(&mut self, idx: usize) {
         if !self.config.events.is_enabled() {
             return;
@@ -622,9 +624,6 @@ impl Fleet {
                 continue;
             }
             entry.events_cursor = event.seq;
-            if matches!(event.kind, EventKind::CheckpointWritten) {
-                entry.last_checkpoint_round = Some(event.round);
-            }
             let label = format!("{} @r{}", event.kind.wire_name(), event.round);
             if !matches!(event.kind, EventKind::RoundCompleted) {
                 notable = Some(label.clone());
@@ -888,6 +887,7 @@ impl Fleet {
             if res.last_flag_round.is_some() {
                 entry.last_flag_round = res.last_flag_round;
             }
+            entry.last_checkpoint_round = res.last_checkpoint_round;
             entry.score_trail.push_back(res.last_score);
             if entry.score_trail.len() > 8 {
                 entry.score_trail.pop_front();
@@ -1287,6 +1287,7 @@ fn execute_window(mut assignment: Assignment) -> WindowResult {
     }
     let rounds_after = assignment.run.rounds_total();
     let coverage_after = assignment.run.coverage_signals();
+    let last_checkpoint_round = assignment.run.last_checkpoint_round();
 
     let (run, report) = if error.is_some() {
         (None, None)
@@ -1314,6 +1315,7 @@ fn execute_window(mut assignment: Assignment) -> WindowResult {
         last_score,
         best_score,
         last_flag_round,
+        last_checkpoint_round,
         exec_ns: started.elapsed().as_nanos() as u64,
     }
 }

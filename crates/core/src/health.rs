@@ -93,8 +93,8 @@ pub struct HealthSample {
     pub w_execs: u64,
     /// Consecutive executed windows with zero new coverage.
     pub zero_cov_windows: u64,
-    /// Round of the last observed `checkpoint-written` event, when the
-    /// campaign checkpoints at all.
+    /// Round of the campaign's last checkpoint (due and not faulted,
+    /// replayed rounds included), when it checkpoints at all.
     pub last_checkpoint_round: Option<u64>,
     /// Whether the campaign has a checkpoint policy (lag is undefined
     /// otherwise).

@@ -377,14 +377,13 @@ pub fn render_campaign_config(config: &CampaignConfig) -> String {
     push_str_member(&mut out, "runtime", &o.runtime);
     out.push_str(&format!(
         ",\"collider\":{},\"cpus_per_container\":{},\"parallel\":{},\
-         \"max_rounds_per_batch\":{},\"crash_repro_attempts\":{},\"shard_index\":0,\
+         \"max_rounds_per_batch\":{},\"crash_repro_attempts\":3,\"shard_index\":0,\
          \"forensics\":{},\"quarantine_threshold\":{},\
          \"checkpoint_interval\":{ckpt_interval},\"checkpoint_keep\":{ckpt_keep},",
         o.collider,
         o.cpus_per_container,
         config.parallel,
         config.max_rounds_per_batch,
-        config.crash_repro_attempts,
         config.forensics,
         o.supervisor.quarantine_threshold,
     ));

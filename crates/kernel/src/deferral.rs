@@ -111,29 +111,6 @@ impl DeferralLedger {
         self.events.clear();
     }
 
-    /// Total escaped CPU caused by `origin` this round.
-    pub fn escaped_cost(&self, origin: CgroupId) -> Usecs {
-        self.events
-            .iter()
-            .filter(|e| e.origin_cgroup == origin)
-            .fold(Usecs::ZERO, |acc, e| acc + e.cost)
-    }
-
-    /// Events caused by `origin`, grouped and summed by channel.
-    pub fn by_channel(&self, origin: CgroupId) -> Vec<(DeferralChannel, Usecs, usize)> {
-        let mut out: Vec<(DeferralChannel, Usecs, usize)> = Vec::new();
-        for e in self.events.iter().filter(|e| e.origin_cgroup == origin) {
-            if let Some(slot) = out.iter_mut().find(|(c, _, _)| *c == e.channel) {
-                slot.1 += e.cost;
-                slot.2 += 1;
-            } else {
-                out.push((e.channel, e.cost, 1));
-            }
-        }
-        out.sort_by_key(|e| std::cmp::Reverse(e.1));
-        out
-    }
-
     /// Drain the ledger (start of a new round), returning the old events.
     pub fn drain(&mut self) -> Vec<DeferralEvent> {
         std::mem::take(&mut self.events)
@@ -165,28 +142,6 @@ mod tests {
             core: 5,
             syscall: "sync",
         }
-    }
-
-    #[test]
-    fn escaped_cost_filters_by_origin() {
-        let mut ledger = DeferralLedger::new();
-        ledger.record(ev(DeferralChannel::IoFlush, 1, 100));
-        ledger.record(ev(DeferralChannel::IoFlush, 2, 900));
-        ledger.record(ev(DeferralChannel::Audit, 1, 50));
-        assert_eq!(ledger.escaped_cost(CgroupId(1)), Usecs(150));
-        assert_eq!(ledger.escaped_cost(CgroupId(3)), Usecs::ZERO);
-    }
-
-    #[test]
-    fn by_channel_groups_and_sorts() {
-        let mut ledger = DeferralLedger::new();
-        ledger.record(ev(DeferralChannel::Audit, 1, 10));
-        ledger.record(ev(DeferralChannel::IoFlush, 1, 100));
-        ledger.record(ev(DeferralChannel::IoFlush, 1, 100));
-        let grouped = ledger.by_channel(CgroupId(1));
-        assert_eq!(grouped.len(), 2);
-        assert_eq!(grouped[0], (DeferralChannel::IoFlush, Usecs(200), 2));
-        assert_eq!(grouped[1], (DeferralChannel::Audit, Usecs(10), 1));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Typed syscall descriptions, the program intermediate representation with
 //! cross-call resource flow, text (de)serialization for seeds, biased
 //! generation, the four genetic operators (splice / add / remove /
-//! mutate-arg), coverage-signal tracking, the corpus, the prioritized work
-//! queue, and a generic shrinking engine.
+//! mutate-arg), coverage-signal tracking, the corpus, and a generic
+//! shrinking engine.
 //!
 //! # Examples
 //! ```
@@ -30,7 +30,6 @@ pub mod id;
 pub mod minimize;
 pub mod mutate;
 pub mod program;
-pub mod queue;
 pub mod serialize;
 pub mod signal;
 pub mod table;
@@ -44,7 +43,6 @@ pub use id::ProgramId;
 pub use minimize::{minimize, MinimizeStats};
 pub use mutate::{MutatePolicy, MutationOp, Mutator};
 pub use program::{ArgValue, Call, Program, ValidationError};
-pub use queue::{WorkItem, WorkKind, WorkQueue};
 pub use serialize::{deserialize, deserialize_with, serialize, ParseError};
 pub use signal::{CoverageSet, ProgramCoverage};
 pub use table::{build_table, find, NameIndex, PATHS, SOCKET_FAMILIES, XATTR_NAMES};

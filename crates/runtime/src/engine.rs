@@ -10,18 +10,17 @@
 //! non-trivial workload being placed on the docker engine" via TTY/LDISC
 //! work-queue flushes — charged each round by [`Engine::round_overhead`].
 //!
-//! Per-container state lives behind per-container lock stripes
-//! ([`std::sync::Mutex`]), so the syscall execution path takes `&self`:
-//! parallel executors driving *different* containers never contend on the
-//! engine itself (§1.2's "multiple fuzzing processes … without compromising
-//! measurement accuracy"). Lifecycle operations (create/restart/remove)
-//! keep `&mut self` and access stripes without locking. A stripe poisoned
-//! by a panicking executor thread is taken back as-is
-//! ([`PoisonError::into_inner`]): the observer's supervisor replaces that
-//! container before it runs again.
+//! Containers are plain data in a map ordered by name. The syscall path
+//! takes `&self` and a `&Container`; the one field it writes, a container's
+//! crash, is a [`OnceLock`] that [`Engine::restart`] clears through `&mut`.
+//! Parallel executors (§1.2's "multiple fuzzing processes … without
+//! compromising measurement accuracy") never share an engine: each worker
+//! of the threaded observer owns a whole kernel-and-engine partition for
+//! its window, and every other engine has one owner on one thread.
+//! Lifecycle operations (create/restart/remove) take `&mut self`.
 
-use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::OnceLock;
 
 use torpedo_kernel::cgroup::{CgroupError, CgroupId, CgroupLimits};
 use torpedo_kernel::cpu::CpuCategory;
@@ -80,8 +79,6 @@ pub enum ContainerState {
     Running,
     /// Died under a runtime bug.
     Crashed(ContainerCrash),
-    /// Stopped by the engine.
-    Stopped,
 }
 
 /// A created container.
@@ -92,7 +89,9 @@ pub struct Container {
     executor_pid: Pid,
     sentry_pid: Option<Pid>,
     core: usize,
-    state: ContainerState,
+    /// Set by the exec path when a runtime bug kills the container, and
+    /// cleared by [`Engine::restart`]; unset means running.
+    crash: OnceLock<ContainerCrash>,
     namespaces: torpedo_kernel::namespace::NamespaceSet,
     uid_mapping: torpedo_kernel::namespace::UidMapping,
     /// Pre-built execution context — constant between restarts, so the
@@ -126,8 +125,15 @@ impl Container {
     }
 
     /// Current state.
-    pub fn state(&self) -> &ContainerState {
-        &self.state
+    pub fn state(&self) -> ContainerState {
+        match self.crash.get() {
+            Some(crash) => ContainerState::Crashed(crash.clone()),
+            None => ContainerState::Running,
+        }
+    }
+
+    fn running(&self) -> bool {
+        self.crash.get().is_none()
     }
 
     /// The container's namespace set (§2.2.2): fresh PID/NET/MNT/UTS/IPC
@@ -143,8 +149,8 @@ impl Container {
     }
 
     /// The runtime-imposed execution policy this container runs under —
-    /// readable from the container stripe alone, so the exec hot path never
-    /// needs a second engine lookup while the stripe is held.
+    /// readable from the container alone, so the executor prices its glue
+    /// without a second engine lookup.
     pub fn policy(&self) -> torpedo_kernel::syscalls::ExecPolicy {
         self.ctx.policy
     }
@@ -159,7 +165,7 @@ pub enum EngineError {
     DuplicateName(String),
     /// No container with that id.
     NoSuchContainer(String),
-    /// The container is not running (crashed or stopped).
+    /// The container crashed and has not been restarted.
     NotRunning(String),
     /// cgroup setup failed.
     Cgroup(CgroupError),
@@ -199,18 +205,12 @@ impl From<CgroupError> for EngineError {
     }
 }
 
-/// Lock one container stripe (see the module docs on poisoning).
-fn lock(stripe: &Mutex<Container>) -> MutexGuard<'_, Container> {
-    stripe.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// The container engine.
 pub struct Engine {
     runtimes: HashMap<&'static str, Arc<dyn Runtime>>,
-    /// Containers behind per-container lock stripes: the exec hot path
-    /// locks only the stripe of the container it drives, so concurrent
-    /// executors in different containers proceed without contention.
-    containers: HashMap<String, Mutex<Container>>,
+    /// Containers by name. Iteration runs in name order, so charge order
+    /// and the deferral ledger never depend on hashing.
+    containers: BTreeMap<String, Container>,
     docker_cgroup: CgroupId,
     /// Runtimes that have started at least one container (cold-start state).
     warmed_runtimes: std::collections::HashSet<&'static str>,
@@ -246,7 +246,7 @@ impl Engine {
             .expect("root cgroup exists");
         let mut engine = Engine {
             runtimes: HashMap::new(),
-            containers: HashMap::new(),
+            containers: BTreeMap::new(),
             docker_cgroup,
             warmed_runtimes: std::collections::HashSet::new(),
             startup_log: Vec::new(),
@@ -399,88 +399,70 @@ impl Engine {
         };
         self.containers.insert(
             spec.name.clone(),
-            Mutex::new(Container {
+            Container {
                 spec,
                 cgroup,
                 executor_pid,
                 sentry_pid,
                 core,
-                state: ContainerState::Running,
+                crash: OnceLock::new(),
                 namespaces,
                 uid_mapping,
                 ctx,
                 runtime,
-            }),
+            },
         );
         Ok(id)
     }
 
-    /// Look up a container, locking its stripe for the guard's lifetime.
-    /// Holding the guard across several [`Engine::exec_locked`] calls is
-    /// how the executor locks once per `run_until` window instead of once
-    /// per execution or syscall.
-    pub fn container(&self, id: &ContainerId) -> Option<MutexGuard<'_, Container>> {
-        self.containers.get(&id.0).map(lock)
+    /// Look up a container. The executor looks its container up once per
+    /// `run_until` window and issues every call through
+    /// [`Engine::exec_in`].
+    pub fn container(&self, id: &ContainerId) -> Option<&Container> {
+        self.containers.get(&id.0)
     }
 
-    /// Ids of all containers, sorted by name.
+    /// Ids of all containers, in name order.
     pub fn container_ids(&self) -> Vec<ContainerId> {
-        let mut names: Vec<&String> = self.containers.keys().collect();
-        names.sort();
-        names.into_iter().map(|n| ContainerId(n.clone())).collect()
+        self.containers
+            .keys()
+            .map(|n| ContainerId(n.clone()))
+            .collect()
     }
 
     /// Execute one syscall inside a container (no collider).
     ///
     /// # Errors
-    /// [`EngineError::NoSuchContainer`] / [`EngineError::NotRunning`].
+    /// [`EngineError::NoSuchContainer`], and whatever [`Engine::exec_in`]
+    /// returns.
     pub fn exec(
         &self,
         kernel: &mut Kernel,
         id: &ContainerId,
         req: SyscallRequest<'_>,
     ) -> Result<RuntimeExec, EngineError> {
-        self.exec_env(kernel, id, req, ExecEnv::default())
+        let container = self
+            .container(id)
+            .ok_or_else(|| EngineError::NoSuchContainer(id.0.clone()))?;
+        self.exec_in(kernel, container, req, ExecEnv::default())
     }
 
-    /// Execute one syscall inside a container with explicit [`ExecEnv`].
+    /// Execute one syscall inside `container` with explicit [`ExecEnv`].
     ///
     /// Applies the container's seccomp profile first: blocked syscalls fail
-    /// with `EPERM` without reaching the runtime. Locks only the target
-    /// container's stripe — concurrent calls into other containers do not
-    /// serialize here.
+    /// with `EPERM` without reaching the runtime.
     ///
     /// # Errors
-    /// [`EngineError::NoSuchContainer`] / [`EngineError::NotRunning`].
-    pub fn exec_env(
+    /// [`EngineError::NotRunning`] when the container crashed, and
+    /// [`EngineError::ExecFault`] for an injected transient error.
+    pub fn exec_in(
         &self,
         kernel: &mut Kernel,
-        id: &ContainerId,
+        container: &Container,
         req: SyscallRequest<'_>,
         env: ExecEnv,
     ) -> Result<RuntimeExec, EngineError> {
-        let stripe = self
-            .containers
-            .get(&id.0)
-            .ok_or_else(|| EngineError::NoSuchContainer(id.0.clone()))?;
-        let mut container = lock(stripe);
-        self.exec_locked(kernel, &mut container, req, env)
-    }
-
-    /// [`Engine::exec_env`] against an already-locked container stripe.
-    /// The executor's hot loop locks the stripe once per `run_until` window
-    /// and issues every call of every execution through this entry point.
-    ///
-    /// # Errors
-    /// [`EngineError::NotRunning`] when the container crashed or stopped.
-    pub fn exec_locked(
-        &self,
-        kernel: &mut Kernel,
-        container: &mut Container,
-        req: SyscallRequest<'_>,
-        env: ExecEnv,
-    ) -> Result<RuntimeExec, EngineError> {
-        if container.state != ContainerState::Running {
+        if !container.running() {
             return Err(EngineError::NotRunning(container.spec.name.clone()));
         }
         if self.fault(FaultKind::ExecError, &container.spec.name) {
@@ -520,7 +502,7 @@ impl Engine {
             container.runtime.execute(kernel, &container.ctx, req, env)
         };
         if let Some(crash) = &exec.crash {
-            container.state = ContainerState::Crashed(ContainerCrash::clone(crash));
+            container.crash.get_or_init(|| ContainerCrash::clone(crash));
             kernel.procs.exit(container.executor_pid);
             if let Some(sentry) = container.sentry_pid {
                 kernel.procs.exit(sentry);
@@ -551,9 +533,7 @@ impl Engine {
         let container = self
             .containers
             .get_mut(&id.0)
-            .ok_or_else(|| EngineError::NoSuchContainer(id.0.clone()))?
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
+            .ok_or_else(|| EngineError::NoSuchContainer(id.0.clone()))?;
         let sandboxed = matches!(container.runtime.kind(), crate::RuntimeKind::Sandboxed);
         let startup = container.runtime.startup_cost(false);
         kernel.release_process_state(container.executor_pid);
@@ -572,7 +552,7 @@ impl Engine {
                 container.cgroup,
             ));
         }
-        container.state = ContainerState::Running;
+        container.crash.take();
         self.startup_log.push(startup);
         Ok(())
     }
@@ -585,9 +565,7 @@ impl Engine {
         let container = self
             .containers
             .remove(&id.0)
-            .ok_or_else(|| EngineError::NoSuchContainer(id.0.clone()))?
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
+            .ok_or_else(|| EngineError::NoSuchContainer(id.0.clone()))?;
         kernel.procs.exit(container.executor_pid);
         if let Some(sentry) = container.sentry_pid {
             kernel.procs.exit(sentry);
@@ -600,7 +578,7 @@ impl Engine {
     /// containerd-style container metrics (Table 2.2: "container-level
     /// metrics, cgroup stats and OOM events").
     pub fn metrics(&self, kernel: &Kernel, id: &ContainerId) -> Option<ContainerMetrics> {
-        let container = lock(self.containers.get(&id.0)?);
+        let container = self.containers.get(&id.0)?;
         let cg = kernel.cgroups.get(container.cgroup)?;
         let restarts = kernel
             .procs
@@ -612,7 +590,7 @@ impl Engine {
             io_bytes: cg.charged_io_bytes(),
             oom_events: cg.oom_events(),
             workload_restarts: restarts,
-            state: container.state.clone(),
+            state: container.state(),
         })
     }
 
@@ -629,29 +607,7 @@ impl Engine {
         // The engine's slice of the observer's snapshot stage; nested inside
         // the observer's own snapshot span when telemetry is enabled.
         let _span = self.telemetry.span(SpanKind::Snapshot);
-        // Snapshot every stripe once, then sort by name: `containers` is a
-        // HashMap, and neither its per-instance iteration order nor lock
-        // timing must leak into charge order or the deferral ledger (round
-        // logs are replay-deterministic).
-        type Snap = (String, Vec<usize>, Option<(CgroupId, Pid, usize, f64)>);
-        let mut snapshot: Vec<Snap> = self
-            .containers
-            .values()
-            .map(|stripe| {
-                let c = lock(stripe);
-                let running = (c.state == ContainerState::Running).then(|| {
-                    let standing = c.runtime.standing_overhead();
-                    (c.cgroup, c.executor_pid, c.core, standing)
-                });
-                (c.spec.name.clone(), c.spec.cpuset.clone(), running)
-            })
-            .collect();
-        snapshot.sort_by(|a, b| a.0.cmp(&b.0));
-        let running: Vec<(CgroupId, Pid, usize, f64)> = snapshot
-            .iter()
-            .filter_map(|(_, _, running)| *running)
-            .collect();
-        if running.is_empty() {
+        if !self.containers.values().any(Container::running) {
             return;
         }
         // dockerd + containerd stream executor output: a little user+system
@@ -668,13 +624,17 @@ impl Engine {
             .get(containerd)
             .map(|p| p.cgroup())
             .unwrap_or(torpedo_kernel::cgroup::CgroupTree::ROOT);
-        let all_cpusets: Vec<usize> = snapshot
-            .iter()
-            .flat_map(|(_, cpuset, _)| cpuset.iter().copied())
+        let all_cpusets: Vec<usize> = self
+            .containers
+            .values()
+            .flat_map(|c| c.spec.cpuset.iter().copied())
             .collect();
         let engine_core = kernel.pick_victim_core(&all_cpusets);
         let per_container = window.scale(0.004);
-        for &(cgroup, pid, core, standing) in &running {
+        // Name order: charge order and the deferral ledger are part of the
+        // replay-deterministic round log.
+        for c in self.containers.values().filter(|c| c.running()) {
+            let (cgroup, pid, core) = (c.cgroup, c.executor_pid, c.core);
             kernel.charge(engine_core, CpuCategory::User, per_container, dockerd, dcg);
             kernel.charge(
                 engine_core,
@@ -694,6 +654,7 @@ impl Engine {
                 "write",
             );
             // Standing runtime overhead inside the container's own budget.
+            let standing = c.runtime.standing_overhead();
             if standing > 0.0 {
                 kernel.charge(
                     core,
@@ -921,23 +882,40 @@ mod tests {
     }
 
     #[test]
+    fn engine_is_send_and_sync() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Engine>();
+    }
+
+    #[test]
     fn round_overhead_defers_tty_flushes() {
-        let (mut kernel, mut engine) = setup();
-        engine
-            .create(&mut kernel, ContainerSpec::new("a").cpuset_cpus(&[0]))
-            .unwrap();
-        engine
-            .create(&mut kernel, ContainerSpec::new("b").cpuset_cpus(&[1]))
-            .unwrap();
-        kernel.begin_round(Usecs::from_secs(5));
-        engine.round_overhead(&mut kernel, Usecs::from_secs(5));
-        let out = kernel.finish_round(&[0, 1]);
-        let tty: Vec<_> = out
-            .deferrals
-            .iter()
-            .filter(|e| e.channel == DeferralChannel::TtyFlush)
-            .collect();
-        assert_eq!(tty.len(), 2, "one flush stream per container");
+        // Created in name order and against it: cgroup ids follow creation,
+        // the listing and the flushes follow names.
+        for names in [["a", "b"], ["b", "a"]] {
+            let (mut kernel, mut engine) = setup();
+            for (core, name) in names.into_iter().enumerate() {
+                engine
+                    .create(&mut kernel, ContainerSpec::new(name).cpuset_cpus(&[core]))
+                    .unwrap();
+            }
+            let ids = engine.container_ids();
+            let listed: Vec<&str> = ids.iter().map(ContainerId::name).collect();
+            assert_eq!(listed, ["a", "b"]);
+            kernel.begin_round(Usecs::from_secs(5));
+            engine.round_overhead(&mut kernel, Usecs::from_secs(5));
+            let out = kernel.finish_round(&[0, 1]);
+            let tty: Vec<CgroupId> = out
+                .deferrals
+                .iter()
+                .filter(|e| e.channel == DeferralChannel::TtyFlush)
+                .map(|e| e.origin_cgroup)
+                .collect();
+            let by_name: Vec<CgroupId> = ids
+                .iter()
+                .map(|id| engine.container(id).unwrap().cgroup())
+                .collect();
+            assert_eq!(tty, by_name, "one flush stream per container, by name");
+        }
     }
 
     #[test]

@@ -64,7 +64,8 @@ pub enum SpanKind {
     Oracle = 3,
     /// Corpus mutation between rounds.
     Mutate = 4,
-    /// Time spent waiting on a contended lock (engine stripe or kernel).
+    /// Time spent waiting on a contended lock: a kernel partition's, for
+    /// an execution window or for measurement.
     LockWait = 5,
     /// Checkpoint-bundle rendering/writing, and resume-time verification.
     Checkpoint = 6,

@@ -184,10 +184,13 @@ proptest! {
 fn fleet_journal_folds_and_serves_the_observatory() {
     let table: Arc<[SyscallDesc]> = build_table().into();
     let dir = scratch("observatory");
-    let run = |events: EventLog, health: Option<HealthConfig>| {
+    let run = |events: EventLog,
+               health: Option<HealthConfig>,
+               max_active: usize,
+               checkpoints: Option<PathBuf>| {
         let mut fleet = Fleet::new(FleetConfig {
             workers: 2,
-            max_active: 3,
+            max_active,
             window_rounds: 2,
             window_rounds_max: 4,
             starvation_windows: 2,
@@ -197,7 +200,13 @@ fn fleet_journal_folds_and_serves_the_observatory() {
             ..FleetConfig::default()
         });
         for i in 0..8 {
-            fleet.admit(fleet_spec(i, &table));
+            let mut spec = fleet_spec(i, &table);
+            spec.config.checkpoint = checkpoints.as_ref().map(|dir| CheckpointConfig {
+                dir: dir.join(format!("tenant-{i}")),
+                interval_rounds: 2,
+                keep: 2,
+            });
+            fleet.admit(spec);
         }
         fleet.run().unwrap()
     };
@@ -213,6 +222,8 @@ fn fleet_journal_folds_and_serves_the_observatory() {
     let watched = run(
         EventLog::journaled(&journal_path).unwrap(),
         Some(stall_everything),
+        3,
+        None,
     );
     assert!(!watched.health.is_empty());
     assert!(watched.render().contains("health findings"));
@@ -239,9 +250,37 @@ fn fleet_journal_folds_and_serves_the_observatory() {
     let with_events = run(
         EventLog::journaled(&dir.join("compare.ndjson")).unwrap(),
         None,
+        3,
+        None,
     );
-    let without_events = run(EventLog::disabled(), None);
+    let without_events = run(EventLog::disabled(), None, 3, None);
     assert_eq!(with_events.render(), without_events.render());
+
+    // Checkpointing tenants with the detectors armed: checkpoint lag comes
+    // from the runs, not from the event log, so the reports stay equal,
+    // with parking and without. These tenants finish after 3 rounds, so
+    // only a bound under the 2-round interval makes the detector fire.
+    let lagging = HealthConfig {
+        checkpoint_lag_rounds: 0,
+        ..HealthConfig::default()
+    };
+    for max_active in [3, usize::MAX] {
+        let ckpt = |side: &str| Some(dir.join(format!("ckpt-{side}-{max_active}")));
+        let on = run(
+            EventLog::enabled(),
+            Some(lagging.clone()),
+            max_active,
+            ckpt("on"),
+        );
+        let off = run(
+            EventLog::disabled(),
+            Some(lagging.clone()),
+            max_active,
+            ckpt("off"),
+        );
+        assert!(on.render().contains("checkpoint-lag"), "{}", on.render());
+        assert_eq!(on.render(), off.render(), "max_active {max_active}");
+    }
 
     // Serve the journal through the StatusShared/StatusServer pair the
     // fleet mounts.
