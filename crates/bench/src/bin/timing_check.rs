@@ -7,7 +7,6 @@
 //! | `directed-no-target` | a directed config with an unreachable target runs at reference speed | < 2% |
 //! | `events-on` | an in-memory event ring runs at reference speed | < 2% |
 //! | `fleet-scheduler` | the scheduler's share of busy time, 32 tenants on one worker | < 5% |
-//! | `contention` | kernel-partition lock wait at 8 workers, against 1 worker | < max(10 × w1, 50 µs) |
 //! | `fleet-scaling` | a 4-worker fleet's efficiency against 1 worker | ≥ 0.5, on hosts with ≥ 4 cores |
 //!
 //! The three pair rows time whole campaigns (3 executors, 4-round batches,
@@ -28,10 +27,9 @@ use torpedo_bench::run_schedule_fleet;
 use torpedo_core::campaign::{Campaign, CampaignConfig};
 use torpedo_core::fleet::{Fleet, FleetConfig, FleetSpec};
 use torpedo_core::observer::ObserverConfig;
-use torpedo_core::parallel::ParallelObserver;
 use torpedo_core::seeds::{default_denylist, SeedCorpus};
 use torpedo_core::CheckpointConfig;
-use torpedo_kernel::{KernelConfig, Usecs};
+use torpedo_kernel::Usecs;
 use torpedo_oracle::CpuOracle;
 use torpedo_prog::{build_table, DirectedTarget, MutatePolicy, SyscallDesc};
 use torpedo_telemetry::EventLog;
@@ -52,7 +50,6 @@ const ROWS: &[(&str, Measure)] = &[
     ("directed-no-target", directed_no_target),
     ("events-on", events_on),
     ("fleet-scheduler", fleet_scheduler),
-    ("contention", contention),
     ("fleet-scaling", fleet_scaling),
 ];
 
@@ -196,49 +193,6 @@ fn fleet_scheduler() -> Reading {
         measured: format!("{pct:.2}%"),
         limit: format!("< {LIMIT_PCT:.0}%"),
         holds: Some(pct < LIMIT_PCT),
-    }
-}
-
-/// Kernel-partition lock wait over two parallel-observer rounds. Each
-/// worker locks only its own partition once per window, so the figure is
-/// the handoff cost, not cross-worker contention; a reintroduced global
-/// lock costs milliseconds at 8 workers.
-fn kernel_wait_ns(workers: usize) -> u64 {
-    let table = table();
-    let config = ObserverConfig {
-        window: Usecs::from_secs(1),
-        executors: workers,
-        ..ObserverConfig::default()
-    };
-    let mut observer = ParallelObserver::new(KernelConfig::default(), config, Arc::clone(&table))
-        .expect("boot parallel observer");
-    let programs: Vec<_> = (0..workers)
-        .map(|i| {
-            let text = if i.is_multiple_of(2) {
-                "sync()\n"
-            } else {
-                "getpid()\n"
-            };
-            Arc::new(torpedo_prog::deserialize(text, &table).expect("program parses"))
-        })
-        .collect();
-    for _ in 0..2 {
-        observer.round(&programs).expect("round");
-    }
-    observer.lock_stats().exec_kernel_wait_ns
-}
-
-fn contention() -> Reading {
-    let w1 = kernel_wait_ns(1);
-    let w8 = kernel_wait_ns(8);
-    // Both figures sit near zero with partitioned kernels, so a 10x ratio
-    // alone would gate on timer noise; the 50 µs floor keeps the row
-    // meaningful.
-    let limit = (10 * w1).max(50_000);
-    Reading {
-        measured: format!("{w8} ns"),
-        limit: format!("< {limit} ns"),
-        holds: Some(w8 < limit),
     }
 }
 

@@ -1837,7 +1837,6 @@ mod tests {
                 config.observer.executors = 1;
                 config.observer.faults = faults.clone();
                 config.observer.supervisor = SupervisorConfig {
-                    stage_timeout: std::time::Duration::from_millis(250),
                     backoff_base: std::time::Duration::from_micros(50),
                     ..SupervisorConfig::default()
                 };

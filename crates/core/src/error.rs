@@ -3,30 +3,25 @@
 //! Every fallible path in the round/campaign machinery surfaces a
 //! [`TorpedoError`] instead of a bare `String` or a panic, so supervisors
 //! can decide *mechanically* what to do next: [`TorpedoError::is_retriable`]
-//! errors are transient round damage (a hung or dead worker) the round
+//! errors are transient round damage (too many hung executors) the round
 //! supervisor retries; everything else is a hard fault that must propagate.
 
 use torpedo_runtime::engine::EngineError;
 
-/// Which stage of the Algorithm 2 round protocol an error occurred in.
+/// Which stage of the Algorithm 2 round protocol an executor hung in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundStage {
-    /// Delivering `(program, window)` to the executor.
-    Prime,
-    /// Waiting for the executor's ready signal (first latch).
+    /// Before signalling ready: the executor sat the round out.
     Ready,
-    /// Opening the measurement window (second latch).
-    Release,
-    /// Collecting the executor's report.
+    /// Before reporting: the executor ran its window, but its report is
+    /// lost.
     Collect,
 }
 
 impl std::fmt::Display for RoundStage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
-            RoundStage::Prime => "prime",
             RoundStage::Ready => "ready",
-            RoundStage::Release => "release",
             RoundStage::Collect => "collect",
         };
         write!(f, "{name}")
@@ -38,18 +33,12 @@ impl std::fmt::Display for RoundStage {
 pub enum TorpedoError {
     /// A container engine failure.
     Engine(EngineError),
-    /// An executor missed its per-stage watchdog deadline.
+    /// Too few executors reported for the round to stand: this one was
+    /// the first to hang.
     WorkerTimeout {
         /// Which executor.
         executor: usize,
-        /// Which protocol stage it stalled in.
-        stage: RoundStage,
-    },
-    /// An executor's thread or channel died mid-protocol.
-    WorkerDied {
-        /// Which executor.
-        executor: usize,
-        /// Which protocol stage it died in.
+        /// Which protocol stage it hung in.
         stage: RoundStage,
     },
     /// A worker exceeded its restart budget and cannot be revived.
@@ -85,13 +74,10 @@ pub enum TorpedoError {
 impl TorpedoError {
     /// Whether a round supervisor should retry the round after this error.
     ///
-    /// Transient worker damage (timeouts, deaths) is retriable once the
-    /// worker is restarted; engine faults and exhausted budgets are not.
+    /// Transient worker damage (hangs) is retriable once the worker is
+    /// respawned; engine faults and exhausted budgets are not.
     pub fn is_retriable(&self) -> bool {
-        matches!(
-            self,
-            TorpedoError::WorkerTimeout { .. } | TorpedoError::WorkerDied { .. }
-        )
+        matches!(self, TorpedoError::WorkerTimeout { .. })
     }
 }
 
@@ -100,10 +86,7 @@ impl std::fmt::Display for TorpedoError {
         match self {
             TorpedoError::Engine(e) => write!(f, "{e}"),
             TorpedoError::WorkerTimeout { executor, stage } => {
-                write!(f, "executor {executor} missed its {stage} deadline")
-            }
-            TorpedoError::WorkerDied { executor, stage } => {
-                write!(f, "executor {executor} died during {stage}")
+                write!(f, "executor {executor} hung at the {stage} stage")
             }
             TorpedoError::RestartBudget { executor, restarts } => {
                 write!(
@@ -156,11 +139,6 @@ mod tests {
         assert!(TorpedoError::WorkerTimeout {
             executor: 0,
             stage: RoundStage::Ready
-        }
-        .is_retriable());
-        assert!(TorpedoError::WorkerDied {
-            executor: 1,
-            stage: RoundStage::Collect
         }
         .is_retriable());
         assert!(!TorpedoError::RestartBudget {

@@ -526,7 +526,7 @@ mod tests {
         telemetry.incr(CounterId::RoundsCompleted);
         telemetry.record_span_ns(SpanKind::Round, 2_000_000);
         telemetry.observe(HistogramId::ExecLatencyUs, 17);
-        telemetry.record_lock_wait(900);
+        telemetry.record_span_ns(SpanKind::Exec, 900);
         {
             let _oracle = telemetry.span(SpanKind::Oracle);
         }
@@ -553,14 +553,10 @@ mod tests {
         assert_eq!(round_hist.sum, 2_000_000);
         assert!((round_hist.mean - 2_000_000.0).abs() < 1.0);
         assert_eq!(round_hist.buckets.len(), torpedo_telemetry::BUCKETS);
-        let lock = snapshot
-            .spans
-            .iter()
-            .find(|(k, _, _)| k == "lock-wait")
-            .unwrap();
-        assert_eq!((lock.1, lock.2), (1, 900));
-        // record_span_ns and record_lock_wait bypass the journal: only the
-        // guarded oracle span landed there.
+        let exec = snapshot.spans.iter().find(|(k, _, _)| k == "exec").unwrap();
+        assert_eq!((exec.1, exec.2), (1, 900));
+        // record_span_ns bypasses the journal: only the guarded oracle span
+        // landed there.
         assert_eq!(snapshot.journal_recorded, 1);
         assert_eq!(snapshot.journal_dropped, 0);
     }

@@ -1,25 +1,28 @@
 //! The Observer (§3.4, Algorithm 2): rounds, synchronized execution, and
 //! measurement — with supervised recovery.
 //!
-//! The observer delegates workloads to executors, primes them, releases
-//! every executor's window at once so it coincides with the measurement
-//! window, takes the `/proc/stat` and `top` measurements, and logs round
-//! results for offline oracle flagging.
+//! The observer delegates workloads to executors, releases every
+//! executor's window at once so it coincides with the measurement window,
+//! takes the `/proc/stat` and `top` measurements, and logs round results
+//! for offline oracle flagging.
 //!
 //! The supervised round is written once, in `Supervisor`, for both
-//! observers. They differ only in how a slot's window runs — their `Slots`
-//! layout: [`Observer`] runs every window inline, in executor order, on one
-//! kernel that hosts all its executors; [`crate::parallel::ParallelObserver`]
-//! runs each on a worker thread over that executor's own kernel partition.
+//! observers. They differ only in their `Slots` layout: which partition
+//! hosts each slot, and how the released windows run. [`Observer`] runs
+//! every window inline, in executor order, on one kernel that hosts all its
+//! executors; [`crate::parallel::ParallelObserver`] moves each executor's
+//! own kernel partition to a worker thread for the window.
 //!
-//! Robustness: every stage runs under a watchdog. An executor that misses
-//! its deadline (e.g. a fault-injected hang) is torn down and its container
-//! respawned, within a per-executor restart budget; the round is salvaged
-//! when at least a quorum of executors still report, and closed and retried
-//! from scratch otherwise. All recovery events are counted in
-//! [`RecoveryStats`].
+//! Robustness: an executor hang is a fault decision rolled before the
+//! round, so recovery is deterministic and no stage waits on a clock. A
+//! slot that hangs before ready is respawned before the window opens; one
+//! that hangs before reporting runs its window, loses its report, and is
+//! respawned after. A respawn replaces the container within a per-executor
+//! restart budget; the round is salvaged when at least a quorum of
+//! executors still report, and closed and retried from scratch otherwise.
+//! All recovery events are counted in [`RecoveryStats`].
 
-use std::ops::DerefMut;
+use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -40,12 +43,9 @@ use crate::error::{RoundStage, TorpedoError};
 use crate::executor::{ExecReport, Executor, GlueCost};
 use crate::stats::RecoveryStats;
 
-/// Watchdog, restart and retry policy for the supervised observer fleet.
+/// Restart, retry and quorum policy for the supervised observer fleet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisorConfig {
-    /// Real-time deadline for each latch stage (prime/ready/release/
-    /// collect) before a worker is declared hung.
-    pub stage_timeout: Duration,
     /// Restart budget per worker; exceeding it is a hard
     /// [`TorpedoError::RestartBudget`] failure.
     pub max_worker_restarts: u32,
@@ -67,7 +67,6 @@ pub struct SupervisorConfig {
 impl Default for SupervisorConfig {
     fn default() -> SupervisorConfig {
         SupervisorConfig {
-            stage_timeout: Duration::from_secs(2),
             max_worker_restarts: 16,
             backoff_base: Duration::from_millis(2),
             backoff_cap: Duration::from_millis(50),
@@ -102,7 +101,7 @@ pub struct ObserverConfig {
     /// Deterministic fault injection; all-zero rates (the default) install
     /// no injector and cost nothing.
     pub faults: FaultConfig,
-    /// Watchdog / restart / retry policy.
+    /// Restart / retry / quorum policy.
     pub supervisor: SupervisorConfig,
     /// Span/metrics sink. [`Telemetry::disabled`] (the default) is a no-op
     /// handle: no clocks, no allocation, one branch per call site.
@@ -134,7 +133,7 @@ pub struct RoundRecord {
     /// What the oracles see.
     pub observation: Observation,
     /// Per-executor execution reports, in executor order. An executor that
-    /// missed the round (hang, death) reports [`ExecReport::missed`].
+    /// missed the round (a hang) reports [`ExecReport::missed`].
     pub reports: Vec<ExecReport>,
     /// Ground-truth deferral events — for the confirmation stage only,
     /// never handed to oracles.
@@ -195,107 +194,105 @@ pub(crate) struct Partition {
 
 /// The executor-hang faults rolled for one slot before a round attempt.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Hang {
-    /// Stall before signalling ready.
-    pub(crate) ready: bool,
-    /// Run the window, then stall instead of reporting.
-    pub(crate) report: bool,
+struct Hang {
+    /// Hang before signalling ready: the slot sits the round out.
+    ready: bool,
+    /// Run the window, then hang instead of reporting.
+    report: bool,
 }
 
-/// Why a slot missed a stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Missed {
-    /// It blew the stage deadline.
-    Hung,
-    /// Its worker is gone (threaded observer only).
-    Died,
-}
+/// A slot's window result, or `None` for a slot held back.
+pub(crate) type SlotReport = Option<Result<ExecReport, EngineError>>;
 
-/// How a round's slots run — the one thing the two observers do
-/// differently. [`Supervisor::round`] drives these stage operations in
-/// slot order.
+/// What the two observers do differently: which partition hosts each slot,
+/// and how the released windows run.
 pub(crate) trait Slots {
-    /// A borrowed (or locked) partition.
-    type Part<'a>: DerefMut<Target = Partition>
-    where
-        Self: 'a;
-
-    /// Every partition in partition order, primary first. `measure` counts
-    /// the wait as measurement-stage lock wait.
-    fn partitions(&mut self, measure: bool) -> Vec<Self::Part<'_>>;
     /// The partition hosting slot `i`'s container.
-    fn host(&mut self, i: usize) -> Self::Part<'_>;
-    /// Slot `i`'s container.
-    fn container(&self, i: usize) -> &ContainerId;
-    /// Stage 1: deliver slot `i`'s program and its rolled hangs.
-    fn prime(&mut self, i: usize, hang: Hang) -> Result<(), Missed>;
-    /// Stage 1b: slot `i` has prepared its container.
-    fn ready(&mut self, i: usize) -> Result<(), Missed>;
-    /// Stage 2: open slot `i`'s window.
-    fn release(&mut self, i: usize) -> Result<(), Missed>;
-    /// Send a slot parked at the release latch back to await the next
-    /// round without running its window.
-    fn wave_off(&mut self, i: usize);
-    /// Slot `i`'s window report.
-    fn collect(&mut self, i: usize) -> Result<Result<ExecReport, EngineError>, Missed>;
-    /// Tear down slot `i`'s worker before its container is replaced.
-    fn retire(&mut self, i: usize);
-    /// Seat a freshly booted executor in slot `i`.
-    fn install(&mut self, i: usize, executor: Executor);
+    fn host(&self, i: usize) -> usize;
+    /// Run every `released` slot's window over `parts`, with slot `i`
+    /// driven by `executors[i]`; results come back in slot order. A panic
+    /// in a window propagates to the caller.
+    fn run(
+        &self,
+        parts: &mut Vec<Partition>,
+        executors: &[Executor],
+        released: &[bool],
+        config: &ObserverConfig,
+    ) -> Vec<SlotReport>;
 }
 
 /// The supervised round protocol, and the state both observers keep the
-/// same way: policy, fault schedule, recovery counters, per-executor
-/// restart budgets and one `top` sampler per partition.
+/// same way: policy, fault schedule, recovery counters, the kernel
+/// partitions, the executors, per-executor restart budgets and one `top`
+/// sampler per partition.
 #[derive(Debug)]
 pub(crate) struct Supervisor {
     pub(crate) config: ObserverConfig,
     pub(crate) faults: Option<Arc<dyn FaultInjector>>,
     pub(crate) recovery: RecoveryStats,
     pub(crate) rounds: u64,
+    /// The kernel partitions, primary first.
+    pub(crate) parts: Vec<Partition>,
+    /// One executor per slot, in slot order.
+    executors: Vec<Executor>,
     /// Respawns each executor has spent of `max_worker_restarts`.
     restarts: Vec<u32>,
     samplers: Vec<TopSampler>,
 }
 
 impl Supervisor {
-    /// Supervision for `config.executors` executors over `partitions`
-    /// kernels. The fault injector exists only when some rate is nonzero.
-    pub(crate) fn new(config: ObserverConfig, partitions: usize) -> Supervisor {
+    /// Boot `partitions` kernels from one configuration (so identical boot
+    /// state) and deploy `config.executors` executors, each into the
+    /// partition `slots` hosts it in. The fault injector exists only when
+    /// some rate is nonzero; every partition shares its `Arc`, so fault
+    /// decisions stay a pure per-scope function of the seed and counters
+    /// aggregate fleet-wide.
+    ///
+    /// # Errors
+    /// Engine errors from container creation; [`TorpedoError::RestartBudget`]
+    /// when a container cannot be started within the restart budget.
+    pub(crate) fn new(
+        kernel_config: KernelConfig,
+        config: ObserverConfig,
+        partitions: usize,
+        slots: &impl Slots,
+    ) -> Result<Supervisor, TorpedoError> {
         let faults = (!config.faults.is_noop())
             .then(|| Arc::new(FaultPlan::new(config.faults.clone())) as Arc<dyn FaultInjector>);
-        Supervisor {
+        let parts = (0..partitions)
+            .map(|_| {
+                let mut kernel = Kernel::new(kernel_config.clone());
+                let mut engine = Engine::new(&mut kernel);
+                engine.set_telemetry(config.telemetry.clone());
+                if let Some(f) = &faults {
+                    engine.set_fault_injector(Arc::clone(f));
+                }
+                Partition { kernel, engine }
+            })
+            .collect();
+        let mut sup = Supervisor {
             restarts: vec![0; config.executors],
             samplers: vec![TopSampler::new(); partitions],
+            executors: Vec::with_capacity(config.executors),
+            parts,
             config,
             faults,
             recovery: RecoveryStats::default(),
             rounds: 0,
+        };
+        for i in 0..sup.config.executors {
+            let executor = sup.boot(slots.host(i), i)?;
+            sup.executors.push(executor);
         }
+        Ok(sup)
     }
 
-    /// Boot a partition's kernel and engine. The injector `Arc` is shared
-    /// by every partition, so fault decisions stay a pure per-scope
-    /// function of the seed and counters aggregate fleet-wide.
-    pub(crate) fn partition(&self, kernel_config: KernelConfig) -> Partition {
-        let mut kernel = Kernel::new(kernel_config);
-        let mut engine = Engine::new(&mut kernel);
-        engine.set_telemetry(self.config.telemetry.clone());
-        if let Some(f) = &self.faults {
-            engine.set_fault_injector(Arc::clone(f));
-        }
-        Partition { kernel, engine }
-    }
-
-    /// Deploy executor `i`'s container into `part`, pinned to core `i`
-    /// with the Table 3.1 restrictions. Start failures are retried with
-    /// backoff.
-    pub(crate) fn boot(
-        &mut self,
-        part: &mut Partition,
-        i: usize,
-    ) -> Result<Executor, TorpedoError> {
+    /// Deploy executor `i`'s container into partition `host`, pinned to
+    /// core `i` with the Table 3.1 restrictions. Start failures are retried
+    /// with backoff.
+    fn boot(&mut self, host: usize, i: usize) -> Result<Executor, TorpedoError> {
         let config = &self.config;
+        let part = &mut self.parts[host];
         let id = retry_start(&config.supervisor, &mut self.recovery, i, || {
             part.engine
                 .create(&mut part.kernel, executor_spec(config, i))
@@ -313,36 +310,28 @@ impl Supervisor {
     /// Restart any crashed executor containers (between batches, and
     /// between attempts of a damaged round). Heals do not spend the
     /// restart budget; their start failures are retried with backoff.
-    pub(crate) fn restart_crashed<S: Slots>(&mut self, slots: &mut S) -> Result<(), TorpedoError> {
-        for i in 0..self.config.executors {
-            let id = slots.container(i).clone();
-            let mut host = slots.host(i);
-            let host = &mut *host;
+    pub(crate) fn restart_crashed(&mut self, slots: &impl Slots) -> Result<(), TorpedoError> {
+        for (i, executor) in self.executors.iter().enumerate() {
+            let host = &mut self.parts[slots.host(i)];
+            let id = &executor.container;
             let crashed = host
                 .engine
-                .container(&id)
+                .container(id)
                 .is_some_and(|c| matches!(c.state(), ContainerState::Crashed(_)));
             if crashed {
                 retry_start(&self.config.supervisor, &mut self.recovery, i, || {
-                    host.engine.restart(&mut host.kernel, &id)
+                    host.engine.restart(&mut host.kernel, id)
                 })?;
             }
         }
         Ok(())
     }
 
-    /// Slot `i` missed a stage: count a hang, spend one unit of executor
-    /// `i`'s restart budget, retire its worker and replace its container
-    /// (same name and spec) inside its own partition.
-    fn respawn<S: Slots>(
-        &mut self,
-        slots: &mut S,
-        i: usize,
-        missed: Missed,
-    ) -> Result<(), TorpedoError> {
-        if missed == Missed::Hung {
-            self.recovery.hangs_detected += 1;
-        }
+    /// Slot `i` hung: count it, spend one unit of executor `i`'s restart
+    /// budget, and replace its container (same name and spec) inside its
+    /// own partition.
+    fn respawn(&mut self, slots: &impl Slots, i: usize) -> Result<(), TorpedoError> {
+        self.recovery.hangs_detected += 1;
         let restarts = self.restarts[i] + 1;
         if restarts > self.config.supervisor.max_worker_restarts {
             return Err(TorpedoError::RestartBudget {
@@ -350,18 +339,16 @@ impl Supervisor {
                 restarts,
             });
         }
-        slots.retire(i);
-        let old = slots.container(i).clone();
-        let executor = {
-            let mut host = slots.host(i);
-            let host = &mut *host;
-            match host.engine.remove(&mut host.kernel, &old) {
-                Ok(()) | Err(EngineError::NoSuchContainer(_)) => {}
-                Err(e) => return Err(e.into()),
-            }
-            self.boot(host, i)?
-        };
-        slots.install(i, executor);
+        let host = slots.host(i);
+        let part = &mut self.parts[host];
+        match part
+            .engine
+            .remove(&mut part.kernel, &self.executors[i].container)
+        {
+            Ok(()) | Err(EngineError::NoSuchContainer(_)) => {}
+            Err(e) => return Err(e.into()),
+        }
+        self.executors[i] = self.boot(host, i)?;
         self.restarts[i] = restarts;
         self.recovery.worker_restarts += 1;
         self.recovery.containers_respawned += 1;
@@ -371,9 +358,9 @@ impl Supervisor {
     /// Run one round over `n` slots, the first `assigned` of which carry a
     /// program, under supervision: attempts that fall below quorum are
     /// retried up to the configured budget.
-    pub(crate) fn round<S: Slots>(
+    pub(crate) fn round(
         &mut self,
-        slots: &mut S,
+        slots: &impl Slots,
         n: usize,
         assigned: usize,
     ) -> Result<RoundRecord, TorpedoError> {
@@ -406,11 +393,27 @@ impl Supervisor {
         n == 0 || (healthy > 0 && healthy as f64 >= self.config.supervisor.quorum * n as f64)
     }
 
-    /// One round attempt — Algorithm 2's loop body: prime, ready, release,
-    /// collect, measure.
-    fn attempt<S: Slots>(
+    /// Close an attempt that fell below quorum at `stage`, blaming the
+    /// first slot that hung.
+    fn abandon(
         &mut self,
-        slots: &mut S,
+        fuzz_cores: &[usize],
+        failed: &[bool],
+        stage: RoundStage,
+    ) -> TorpedoError {
+        close_round(&mut self.parts, fuzz_cores);
+        TorpedoError::WorkerTimeout {
+            executor: failed.iter().position(|f| *f).unwrap_or(0),
+            stage,
+        }
+    }
+
+    /// One round attempt — Algorithm 2's loop body: roll the hangs, respawn
+    /// the slots that hang before ready, release every other window at
+    /// once, drop the reports of slots that hang before reporting, measure.
+    fn attempt(
+        &mut self,
+        slots: &impl Slots,
         n: usize,
         assigned: usize,
     ) -> Result<RoundRecord, TorpedoError> {
@@ -420,9 +423,8 @@ impl Supervisor {
         let telemetry = self.config.telemetry.clone();
         let _round_span = telemetry.span(SpanKind::Round);
 
-        // Roll fault-injected hang decisions up front, on the observer side,
-        // so the schedule is a pure function of the fault seed regardless of
-        // thread interleaving.
+        // Roll fault-injected hang decisions up front, in slot order, so
+        // the schedule is a pure function of the fault seed in both layouts.
         let hangs: Vec<Hang> = (0..n)
             .map(|i| {
                 if i >= assigned {
@@ -436,77 +438,44 @@ impl Supervisor {
             .collect();
 
         let fuzz_cores: Vec<usize> = (0..self.config.executors).collect();
-        let before = open_round(&mut slots.partitions(false), window, &fuzz_cores);
+        let before = open_round(&mut self.parts, window, &fuzz_cores);
 
-        // Stage 1: prime every slot.
-        for (i, hang) in hangs.into_iter().enumerate() {
-            if let Err(missed) = slots.prime(i, hang) {
-                // Slots primed so far park at the release latch; wave them
-                // off before abandoning the attempt.
-                (0..i).for_each(|j| slots.wave_off(j));
-                close_round(&mut slots.partitions(false), &fuzz_cores);
-                self.respawn(slots, i, missed)?;
-                return Err(TorpedoError::WorkerDied {
-                    executor: i,
-                    stage: RoundStage::Prime,
-                });
-            }
-        }
-
-        // Stage 1b: every ready signal, under the watchdog.
-        let mut failed = vec![false; n];
-        for (i, slot) in failed.iter_mut().enumerate() {
-            if let Err(missed) = slots.ready(i) {
-                *slot = true;
-                self.respawn(slots, i, missed)?;
-            }
+        // A slot that hangs before ready is respawned now and sits the
+        // round out.
+        let mut failed: Vec<bool> = hangs.iter().map(|h| h.ready).collect();
+        for i in (0..n).filter(|&i| failed[i]) {
+            self.respawn(slots, i)?;
         }
         if !self.quorum_met(&failed) {
-            // The healthy survivors are parked at the release latch.
-            for i in (0..n).filter(|i| !failed[*i]) {
-                slots.wave_off(i);
-            }
-            return Err(abandon(slots, &fuzz_cores, &failed, RoundStage::Ready));
+            return Err(self.abandon(&fuzz_cores, &failed, RoundStage::Ready));
         }
 
-        // Stage 2: open the measurement window for every healthy slot at
-        // once. (Respawned slots sit this round out.)
-        for (i, slot) in failed.iter_mut().enumerate() {
-            if *slot {
-                continue;
-            }
-            if let Err(missed) = slots.release(i) {
-                *slot = true;
-                self.respawn(slots, i, missed)?;
-            }
-        }
+        // Open the measurement window for every healthy slot at once.
+        let released: Vec<bool> = failed.iter().map(|f| !f).collect();
+        let results = slots.run(&mut self.parts, &self.executors, &released, &self.config);
 
-        // Collect reports, under the watchdog. A slot that hangs here ran
-        // its window, but its report is lost.
+        // A slot that hangs before reporting ran its window, but its report
+        // is lost; it is respawned after the window.
         let mut reports: Vec<Option<ExecReport>> = vec![None; n];
-        for i in 0..n {
-            if failed[i] {
-                continue;
-            }
-            match slots.collect(i) {
-                Ok(report) => reports[i] = Some(report?),
-                Err(missed) => {
-                    failed[i] = true;
-                    self.respawn(slots, i, missed)?;
-                }
+        for (i, result) in results.into_iter().enumerate() {
+            let Some(result) = result else { continue };
+            if hangs[i].report {
+                failed[i] = true;
+                self.respawn(slots, i)?;
+            } else {
+                reports[i] = Some(result?);
             }
         }
         if !self.quorum_met(&failed) {
-            return Err(abandon(slots, &fuzz_cores, &failed, RoundStage::Collect));
+            return Err(self.abandon(&fuzz_cores, &failed, RoundStage::Collect));
         }
 
         let (observation, deferrals) = {
             let _snapshot_span = telemetry.span(SpanKind::Snapshot);
-            let containers: Vec<ContainerId> = (0..self.config.executors)
-                .map(|i| slots.container(i).clone())
-                .collect();
+            let containers: Vec<&ContainerId> =
+                self.executors.iter().map(|e| &e.container).collect();
             measure(
-                &mut slots.partitions(true),
+                &mut self.parts,
                 &mut self.samplers,
                 &containers,
                 &before,
@@ -543,11 +512,7 @@ impl Supervisor {
 
 /// Open the round on every partition. The `/proc/stat` baseline is the
 /// primary's: it alone accumulates the merged cumulative counters.
-fn open_round<P: DerefMut<Target = Partition>>(
-    parts: &mut [P],
-    window: Usecs,
-    fuzz_cores: &[usize],
-) -> ProcStatSnapshot {
+fn open_round(parts: &mut [Partition], window: Usecs, fuzz_cores: &[usize]) -> ProcStatSnapshot {
     let before = ProcStatSnapshot::capture(&parts[0].kernel);
     for part in parts.iter_mut() {
         part.kernel.begin_round(window);
@@ -556,26 +521,11 @@ fn open_round<P: DerefMut<Target = Partition>>(
     before
 }
 
-/// Close an attempt that fell below quorum at `stage`, blaming the first
-/// slot that missed it.
-fn abandon<S: Slots>(
-    slots: &mut S,
-    fuzz_cores: &[usize],
-    failed: &[bool],
-    stage: RoundStage,
-) -> TorpedoError {
-    close_round(&mut slots.partitions(false), fuzz_cores);
-    TorpedoError::WorkerTimeout {
-        executor: failed.iter().position(|f| *f).unwrap_or(0),
-        stage,
-    }
-}
-
 /// Close an abandoned round so the next attempt starts from a clean
 /// measurement window. The primary finishes its round — consuming exactly
 /// the noise entropy a completed round would — and secondaries are drained
 /// raw (they never touch the RNG).
-fn close_round<P: DerefMut<Target = Partition>>(parts: &mut [P], fuzz_cores: &[usize]) {
+fn close_round(parts: &mut [Partition], fuzz_cores: &[usize]) {
     let (primary, secondaries) = parts.split_first_mut().expect("a primary partition");
     let _ = primary.kernel.finish_round(fuzz_cores);
     for part in secondaries {
@@ -590,19 +540,17 @@ fn close_round<P: DerefMut<Target = Partition>>(parts: &mut [P], fuzz_cores: &[u
 /// primary; the primary alone finishes the round — with one partition,
 /// exactly the single-kernel sequence. Container rows follow `containers`
 /// (executor order), each read from the partition that hosts it.
-fn measure<P: DerefMut<Target = Partition>>(
-    parts: &mut [P],
+fn measure(
+    parts: &mut [Partition],
     samplers: &mut [TopSampler],
-    containers: &[ContainerId],
+    containers: &[&ContainerId],
     before: &ProcStatSnapshot,
     window: Usecs,
     fuzz_cores: &[usize],
 ) -> Result<(Observation, Vec<DeferralEvent>), EngineError> {
     let (primary, secondaries) = parts.split_first_mut().expect("a primary partition");
-    let primary = &mut **primary;
     primary.engine.round_overhead(&mut primary.kernel, window);
     for part in secondaries {
-        let part = &mut **part;
         part.engine.round_overhead(&mut part.kernel, window);
         primary
             .kernel
@@ -656,86 +604,55 @@ fn container_info(part: &Partition, id: &ContainerId) -> Option<ContainerInfo> {
     })
 }
 
-/// The sequential layout: one kernel hosts every executor, and each slot's
-/// window runs inline, in executor order, when it is released.
+/// The sequential layout: one kernel hosts every executor, and the released
+/// windows run inline, in executor order.
 struct Inline<'r, P> {
-    part: &'r mut Partition,
-    executors: &'r mut [Executor],
     table: &'r [SyscallDesc],
     programs: &'r [P],
-    window: Usecs,
-    telemetry: Telemetry,
-    /// Hangs delivered at prime, per slot.
-    hangs: Vec<Hang>,
-    /// Window results, held from release until collect.
-    reports: Vec<Option<Result<ExecReport, EngineError>>>,
 }
 
-impl<P: std::borrow::Borrow<Program>> Slots for Inline<'_, P> {
-    type Part<'a>
-        = &'a mut Partition
-    where
-        Self: 'a;
-
-    fn partitions(&mut self, _measure: bool) -> Vec<&mut Partition> {
-        vec![&mut *self.part]
+impl<P: Borrow<Program>> Slots for Inline<'_, P> {
+    fn host(&self, _i: usize) -> usize {
+        0
     }
 
-    fn host(&mut self, _i: usize) -> &mut Partition {
-        &mut *self.part
-    }
-
-    fn container(&self, i: usize) -> &ContainerId {
-        &self.executors[i].container
-    }
-
-    fn prime(&mut self, i: usize, hang: Hang) -> Result<(), Missed> {
-        self.hangs[i] = hang;
-        Ok(())
-    }
-
-    fn ready(&mut self, i: usize) -> Result<(), Missed> {
-        if self.hangs[i].ready {
-            return Err(Missed::Hung);
-        }
-        Ok(())
-    }
-
-    fn release(&mut self, i: usize) -> Result<(), Missed> {
-        let _exec_span = self.telemetry.span(SpanKind::Exec);
-        self.reports[i] = Some(self.executors[i].run_until(
-            &mut self.part.kernel,
-            &self.part.engine,
-            self.table,
-            self.programs[i].borrow(),
-            self.window,
-        ));
-        Ok(())
-    }
-
-    fn wave_off(&mut self, _i: usize) {}
-
-    fn collect(&mut self, i: usize) -> Result<Result<ExecReport, EngineError>, Missed> {
-        let report = self.reports[i].take().expect("collect follows release");
-        if self.hangs[i].report {
-            return Err(Missed::Hung);
-        }
-        Ok(report)
-    }
-
-    fn retire(&mut self, _i: usize) {}
-
-    fn install(&mut self, i: usize, executor: Executor) {
-        self.executors[i] = executor;
+    fn run(
+        &self,
+        parts: &mut Vec<Partition>,
+        executors: &[Executor],
+        released: &[bool],
+        config: &ObserverConfig,
+    ) -> Vec<SlotReport> {
+        let part = &mut parts[0];
+        released
+            .iter()
+            .zip(executors.iter().zip(self.programs))
+            .map(|(&released, (executor, program))| {
+                released.then(|| {
+                    let _exec_span = config.telemetry.span(SpanKind::Exec);
+                    executor.run_until(
+                        &mut part.kernel,
+                        &part.engine,
+                        self.table,
+                        program.borrow(),
+                        config.window,
+                    )
+                })
+            })
+            .collect()
     }
 }
+
+/// No programs: the layout for booting and healing.
+const IDLE: Inline<'static, Program> = Inline {
+    table: &[],
+    programs: &[],
+};
 
 /// The observer: owns the kernel, engine, and executor fleet.
 #[derive(Debug)]
 pub struct Observer {
     sup: Supervisor,
-    part: Partition,
-    executors: Vec<Executor>,
 }
 
 impl Observer {
@@ -750,16 +667,8 @@ impl Observer {
         kernel_config: KernelConfig,
         config: ObserverConfig,
     ) -> Result<Observer, TorpedoError> {
-        let mut sup = Supervisor::new(config, 1);
-        let mut part = sup.partition(kernel_config);
-        let executors = (0..sup.config.executors)
-            .map(|i| sup.boot(&mut part, i))
-            .collect::<Result<_, _>>()?;
-        Ok(Observer {
-            sup,
-            part,
-            executors,
-        })
+        let sup = Supervisor::new(kernel_config, config, 1, &IDLE)?;
+        Ok(Observer { sup })
     }
 
     /// The observer's configuration.
@@ -774,17 +683,21 @@ impl Observer {
 
     /// Immutable access to the kernel (diagnostics).
     pub fn kernel(&self) -> &Kernel {
-        &self.part.kernel
+        &self.sup.parts[0].kernel
     }
 
     /// Immutable access to the engine.
     pub fn engine(&self) -> &Engine {
-        &self.part.engine
+        &self.sup.parts[0].engine
     }
 
     /// Container ids, in executor order.
     pub fn container_ids(&self) -> Vec<ContainerId> {
-        self.executors.iter().map(|e| e.container.clone()).collect()
+        self.sup
+            .executors
+            .iter()
+            .map(|e| e.container.clone())
+            .collect()
     }
 
     /// Recovery events so far.
@@ -794,27 +707,7 @@ impl Observer {
 
     /// Faults the engine's injector has taken so far.
     pub fn fault_counters(&self) -> FaultCounters {
-        self.part.engine.fault_counters()
-    }
-
-    /// The supervisor plus this round's inline slots over `programs`.
-    fn inline<'r, P>(
-        &'r mut self,
-        table: &'r [SyscallDesc],
-        programs: &'r [P],
-    ) -> (&'r mut Supervisor, Inline<'r, P>) {
-        let n = self.executors.len();
-        let slots = Inline {
-            part: &mut self.part,
-            executors: &mut self.executors,
-            table,
-            programs,
-            window: self.sup.config.window,
-            telemetry: self.sup.config.telemetry.clone(),
-            hangs: vec![Hang::default(); n],
-            reports: (0..n).map(|_| None).collect(),
-        };
-        (&mut self.sup, slots)
+        self.engine().fault_counters()
     }
 
     /// Restart any crashed containers (between batches).
@@ -823,8 +716,7 @@ impl Observer {
     /// Propagates engine restart failures; injected start failures are
     /// retried with backoff up to the restart budget.
     pub fn restart_crashed(&mut self) -> Result<(), TorpedoError> {
-        let (sup, mut slots) = self.inline::<Program>(&[], &[]);
-        sup.restart_crashed(&mut slots)
+        self.sup.restart_crashed(&IDLE)
     }
 
     /// Run one observation round under supervision: assign `programs[i]`
@@ -840,14 +732,13 @@ impl Observer {
     /// Programs are accepted through [`std::borrow::Borrow`] so callers can
     /// pass plain `&[Program]` slices (confirmation, minimization) or the
     /// campaign's copy-on-write `&[Arc<Program>]` batches without cloning.
-    pub fn round<P: std::borrow::Borrow<Program>>(
+    pub fn round<P: Borrow<Program>>(
         &mut self,
         table: &[SyscallDesc],
         programs: &[P],
     ) -> Result<RoundRecord, TorpedoError> {
-        let n = self.executors.len().min(programs.len());
-        let (sup, mut slots) = self.inline(table, programs);
-        sup.round(&mut slots, n, n)
+        let n = self.sup.executors.len().min(programs.len());
+        self.sup.round(&Inline { table, programs }, n, n)
     }
 }
 

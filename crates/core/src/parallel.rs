@@ -3,38 +3,29 @@
 //! §1.2's fifth contribution: "To retain SYZKALLER's inherent efficiency, we
 //! introduce a series of synchronization mechanisms that allow for multiple
 //! fuzzing processes to run simultaneously without compromising measurement
-//! accuracy." This module runs one OS thread per executor through the
-//! supervised round protocol that [`crate::observer`] writes once for both
-//! observers; only the stage operations are threaded here:
-//!
-//! 1. **Prime** — the observer delivers `(program, window)` to every worker
-//!    over a capacity-1 `std::sync::mpsc::sync_channel`.
-//! 2. **Ready** — each worker acknowledges after preparing its container.
-//! 3. **Release** — a per-worker go signal opens the measurement window for
-//!    all workers at once; nobody executes a single call before it.
-//! 4. **Collect** — workers report; the observer measures.
-//!
-//! Every blocking stage runs under a watchdog
-//! ([`SupervisorConfig::stage_timeout`]): a worker that misses its deadline
-//! is cancelled, joined, and respawned — thread *and* container — with
-//! exponential backoff. The round is salvaged (the dead slot reports
-//! [`ExecReport::missed`]) when at least a quorum of workers still report,
-//! and retried from scratch otherwise, up to
-//! [`SupervisorConfig::round_retries`] times.
+//! accuracy." This module runs one persistent OS thread per executor
+//! through the supervised round protocol that [`crate::observer`] writes
+//! once for both observers; only the released windows are threaded here.
+//! Every released window is handed to its worker before any report is
+//! collected, so the windows run at once, and none of them starts before
+//! the round is open on every partition.
 //!
 //! # Partitioned kernels
 //!
-//! There is no shared kernel mutex. Worker `i` owns kernel **partition**
-//! `i`: a full simulated [`Kernel`] plus its own [`Engine`] hosting exactly
-//! one executor container, pinned to core `i`. The partition sits behind a
-//! round-scoped [`std::sync::Mutex`] — the worker locks it *once* per
-//! measurement window and then runs the whole execution loop on plain
-//! `&mut Kernel`, so the exec hot path takes zero locks per iteration and
-//! workers never serialize against each other. The supervisor takes the
-//! same mutex only between windows (measurement, restarts). A worker that
-//! panics mid-window poisons its partition; the supervisor takes the guard
-//! back with [`PoisonError::into_inner`] and respawns the worker like any
-//! dead one.
+//! There is no shared kernel and no lock. Worker `i` runs on kernel
+//! **partition** `i`: a full simulated [`Kernel`] plus its own [`Engine`]
+//! hosting exactly one executor container, pinned to core `i`. The
+//! observer keeps the partitions in a plain `Vec`. At release it moves
+//! partition `i` by value to worker `i` together with the job, one message
+//! over a capacity-1 `std::sync::mpsc::sync_channel`, and gets it back with
+//! the report, a second message. So a partition has exactly one owner at
+//! any instant, and the exec hot path runs on plain `&mut Kernel`. A panic
+//! in a window is caught on the worker and re-raised on the observer
+//! thread, as it would be in the sequential layout.
+//!
+//! Executor hangs are fault decisions the supervisor rolls and handles
+//! itself, in both layouts: no worker ever stalls, and nothing waits on a
+//! wall-clock deadline.
 //!
 //! Determinism is the headline guarantee. Every partition boots from the
 //! same [`KernelConfig`] (identical daemon pids, identical noise seed), and
@@ -49,14 +40,6 @@
 //! thread interleaving. Per-partition `top` frames merge via
 //! [`merge_frames`] keyed on `(pid, name)`.
 //!
-//! Wait-time accounting moved with the locks: the once-per-window partition
-//! acquisition feeds [`LockStats::exec_kernel_wait_ns`] and the dedicated
-//! `kernel_wait_ns` histogram ([`Telemetry::record_kernel_wait`]); the
-//! supervisor's measurement-path acquisitions stay in the legacy
-//! `lock_wait_ns` series.
-//!
-//! [`SupervisorConfig::stage_timeout`]: crate::observer::SupervisorConfig::stage_timeout
-//! [`SupervisorConfig::round_retries`]: crate::observer::SupervisorConfig::round_retries
 //! [`Kernel`]: torpedo_kernel::kernel::Kernel
 //! [`Kernel::take_round_raw`]: torpedo_kernel::kernel::Kernel::take_round_raw
 //! [`Kernel::absorb_round_raw`]: torpedo_kernel::kernel::Kernel::absorb_round_raw
@@ -65,92 +48,83 @@
 //! [`KernelConfig`]: torpedo_kernel::KernelConfig
 //! [`merge_frames`]: torpedo_kernel::top::merge_frames
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use torpedo_kernel::time::Usecs;
 use torpedo_prog::{Program, SyscallDesc};
-use torpedo_runtime::engine::{ContainerId, EngineError};
+use torpedo_runtime::engine::EngineError;
 use torpedo_runtime::FaultCounters;
-use torpedo_telemetry::Telemetry;
 
 use crate::error::TorpedoError;
 use crate::executor::{ExecReport, Executor};
-use crate::observer::{Hang, Missed, ObserverConfig, Partition, RoundRecord, Slots, Supervisor};
+use crate::observer::{ObserverConfig, Partition, RoundRecord, SlotReport, Slots, Supervisor};
 use crate::stats::RecoveryStats;
 
-enum Cmd {
-    Run {
-        /// Copy-on-write handle: priming a worker clones the `Arc`, never
-        /// the call list.
-        program: Arc<Program>,
-        window: Usecs,
-        /// Fault-injected stalls before ready or instead of reporting.
-        hang: Hang,
-    },
-    Shutdown,
-}
-
-struct Worker {
-    cmd_tx: SyncSender<Cmd>,
-    ready_rx: Receiver<()>,
-    go_tx: SyncSender<bool>,
-    report_rx: Receiver<Result<ExecReport, EngineError>>,
-    cancel: Arc<AtomicBool>,
-    container: ContainerId,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// State shared between the supervisor and the worker threads.
-struct Shared {
-    /// One partition per worker, indexed by worker slot (plus one bare
-    /// partition when the fleet is empty, so measurement always has a
-    /// primary). The mutex is round-scoped, not iteration-scoped.
-    partitions: Vec<Mutex<Partition>>,
-    /// Shared with the owning campaign (and any sibling campaigns) — an Arc
-    /// clone rather than a per-observer copy of the description table.
-    table: Arc<[SyscallDesc]>,
-    /// Cumulative lock-wait counters, nanoseconds.
-    locks: LockCounters,
-    /// Span/metrics sink (disabled by default). Exec-path partition waits
-    /// feed `kernel_wait_ns`; measurement waits feed `lock_wait_ns`.
-    telemetry: Telemetry,
-}
-
-#[derive(Debug, Default)]
-struct LockCounters {
-    exec_kernel_ns: AtomicU64,
-    measure_ns: AtomicU64,
-}
-
-/// Cumulative time threads spent *waiting* for partition locks, split by
-/// round stage — the contention signal `timing_check`'s `contention` row
-/// reads. All fields are nanoseconds summed across threads.
+/// Partition-lock wait, as perfbench reads it. Partitions move by value
+/// and are never locked, so every field is always zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LockStats {
-    /// Worker wait for its kernel partition at window open — one
-    /// acquisition per worker per round, not per iteration.
+    /// Always zero.
     pub exec_kernel_wait_ns: u64,
-    /// Supervisor wait for the partition locks in the measurement section.
+    /// Always zero.
     pub measure_wait_ns: u64,
 }
 
-impl LockStats {
-    /// Total wait across all stages.
-    pub fn total_ns(&self) -> u64 {
-        self.exec_kernel_wait_ns + self.measure_wait_ns
-    }
+/// One window for a worker, with the partition it runs on.
+struct Job {
+    part: Partition,
+    executor: Executor,
+    program: Arc<Program>,
+    window: Usecs,
+}
+
+/// The partition back from a window, with the window's report or the
+/// payload of the panic that cut it short.
+type Done = (
+    Partition,
+    std::thread::Result<Result<ExecReport, EngineError>>,
+);
+
+/// A persistent worker thread: one [`Job`] in, one [`Done`] out.
+struct Worker {
+    jobs: SyncSender<Job>,
+    done: Receiver<Done>,
+    handle: JoinHandle<()>,
+}
+
+/// Spawn a worker that runs Algorithm 1 ([`Executor::run_until`]) for
+/// every job it is sent, until the observer hangs up.
+fn spawn_worker(table: Arc<[SyscallDesc]>) -> Worker {
+    let (jobs, job_rx) = sync_channel::<Job>(1);
+    let (done_tx, done) = sync_channel::<Done>(1);
+    let handle = std::thread::spawn(move || {
+        for mut job in job_rx {
+            let report = catch_unwind(AssertUnwindSafe(|| {
+                let part = &mut job.part;
+                job.executor.run_until(
+                    &mut part.kernel,
+                    &part.engine,
+                    &table,
+                    &job.program,
+                    job.window,
+                )
+            }));
+            if done_tx.send((job.part, report)).is_err() {
+                return;
+            }
+        }
+    });
+    Worker { jobs, done, handle }
 }
 
 /// A threaded observer: same protocol and measurements as
 /// [`crate::observer::Observer`], executed by concurrent workers over
-/// partitioned kernels under a supervising watchdog.
+/// partitioned kernels.
 pub struct ParallelObserver {
     sup: Supervisor,
-    shared: Arc<Shared>,
     workers: Vec<Worker>,
 }
 
@@ -180,33 +154,13 @@ impl ParallelObserver {
     ) -> Result<ParallelObserver, TorpedoError> {
         // One partition per worker; at least one so measurement always has
         // a primary kernel even with an empty fleet.
-        let slots = config.executors.max(1);
-        let mut sup = Supervisor::new(config, slots);
-        let mut partitions = Vec::with_capacity(slots);
-        let mut executors = Vec::with_capacity(sup.config.executors);
-        for i in 0..slots {
-            let mut part = sup.partition(kernel_config.clone());
-            if i < sup.config.executors {
-                executors.push(sup.boot(&mut part, i)?);
-            }
-            partitions.push(Mutex::new(part));
-        }
-        let shared = Arc::new(Shared {
-            partitions,
-            table: table.into(),
-            locks: LockCounters::default(),
-            telemetry: sup.config.telemetry.clone(),
-        });
-        let workers = executors
-            .into_iter()
-            .enumerate()
-            .map(|(slot, executor)| spawn_worker(Arc::clone(&shared), slot, executor))
+        let partitions = config.executors.max(1);
+        let sup = Supervisor::new(kernel_config, config, partitions, &IDLE)?;
+        let table = table.into();
+        let workers = (0..sup.config.executors)
+            .map(|_| spawn_worker(Arc::clone(&table)))
             .collect();
-        Ok(ParallelObserver {
-            sup,
-            shared,
-            workers,
-        })
+        Ok(ParallelObserver { sup, workers })
     }
 
     /// Number of worker threads.
@@ -222,30 +176,13 @@ impl ParallelObserver {
     /// Faults injected so far. The injector is shared across partitions, so
     /// any partition's engine reports the fleet-wide aggregate.
     pub fn fault_counters(&self) -> FaultCounters {
-        lock(&self.shared.partitions[0]).engine.fault_counters()
+        self.sup.parts[0].engine.fault_counters()
     }
 
-    /// Cumulative lock-wait telemetry across all rounds so far.
+    /// Partition-lock wait so far: always zero, since no partition is
+    /// locked.
     pub fn lock_stats(&self) -> LockStats {
-        LockStats {
-            exec_kernel_wait_ns: self.shared.locks.exec_kernel_ns.load(Ordering::Relaxed),
-            measure_wait_ns: self.shared.locks.measure_ns.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The supervisor plus this round's threaded slots over `programs`.
-    fn threaded<'r>(
-        &'r mut self,
-        programs: &'r [Arc<Program>],
-    ) -> (&'r mut Supervisor, Threaded<'r>) {
-        let slots = Threaded {
-            shared: &self.shared,
-            workers: &mut self.workers,
-            programs,
-            window: self.sup.config.window,
-            timeout: self.sup.config.supervisor.stage_timeout,
-        };
-        (&mut self.sup, slots)
+        LockStats::default()
     }
 
     /// Restart any crashed containers (between batches), as the sequential
@@ -256,247 +193,110 @@ impl ParallelObserver {
     /// Engine restart failures; [`TorpedoError::RestartBudget`] when the
     /// backoff budget runs out.
     pub fn restart_crashed(&mut self) -> Result<(), TorpedoError> {
-        let (sup, mut slots) = self.threaded(&[]);
-        sup.restart_crashed(&mut slots)
+        self.sup.restart_crashed(&IDLE)
     }
 
     /// Run one synchronized round across all workers under supervision:
-    /// damaged rounds (hung or dead workers below quorum) are retried up to
-    /// the configured budget.
+    /// damaged rounds (hung workers below quorum) are retried up to the
+    /// configured budget.
     ///
-    /// Idle workers (when `programs` is shorter than the fleet) still latch
-    /// through the protocol with an empty assignment, as real executors do.
+    /// Idle workers (when `programs` is shorter than the fleet) are
+    /// released with an empty assignment, which runs nothing and reports
+    /// [`ExecReport::missed`].
     ///
     /// # Errors
     /// Engine failures, exhausted restart budgets, or
     /// [`TorpedoError::RoundRetriesExhausted`] when retries run out.
     pub fn round(&mut self, programs: &[Arc<Program>]) -> Result<RoundRecord, TorpedoError> {
         let n = self.workers.len();
-        let (sup, mut slots) = self.threaded(programs);
-        sup.round(&mut slots, n, n.min(programs.len()))
+        let slots = Threaded {
+            workers: &self.workers,
+            programs,
+        };
+        self.sup.round(&slots, n, n.min(programs.len()))
     }
 }
 
-/// The threaded layout: one worker thread per slot, each over its own
-/// kernel partition, driven through its channels under the watchdog.
+/// The threaded layout: slot `i` runs on its own partition `i`, which
+/// travels to worker `i` with the job and comes back with the report.
 struct Threaded<'r> {
-    shared: &'r Arc<Shared>,
-    workers: &'r mut [Worker],
+    workers: &'r [Worker],
     programs: &'r [Arc<Program>],
-    window: Usecs,
-    timeout: Duration,
 }
 
-/// A watchdog verdict: a missed deadline is a hang, a closed channel a
-/// dead worker.
-fn watch<T>(received: Result<T, RecvTimeoutError>) -> Result<T, Missed> {
-    received.map_err(|e| match e {
-        RecvTimeoutError::Timeout => Missed::Hung,
-        RecvTimeoutError::Disconnected => Missed::Died,
-    })
-}
+/// No workers and no programs: the layout for booting and healing.
+const IDLE: Threaded<'static> = Threaded {
+    workers: &[],
+    programs: &[],
+};
 
 impl Slots for Threaded<'_> {
-    type Part<'a>
-        = MutexGuard<'a, Partition>
-    where
-        Self: 'a;
-
-    fn partitions(&mut self, measure: bool) -> Vec<MutexGuard<'_, Partition>> {
-        let shared = &**self.shared;
-        (0..shared.partitions.len())
-            .map(|i| {
-                if measure {
-                    lock_for_measure(shared, i)
-                } else {
-                    lock(&shared.partitions[i])
-                }
-            })
-            .collect()
+    fn host(&self, i: usize) -> usize {
+        i
     }
 
-    fn host(&mut self, i: usize) -> MutexGuard<'_, Partition> {
-        lock(&self.shared.partitions[i])
-    }
-
-    fn container(&self, i: usize) -> &ContainerId {
-        &self.workers[i].container
-    }
-
-    fn prime(&mut self, i: usize, hang: Hang) -> Result<(), Missed> {
-        let program = self.programs.get(i).cloned().unwrap_or_default();
-        let cmd = Cmd::Run {
-            program,
-            window: self.window,
-            hang,
-        };
-        self.workers[i].cmd_tx.send(cmd).map_err(|_| Missed::Died)
-    }
-
-    fn ready(&mut self, i: usize) -> Result<(), Missed> {
-        watch(self.workers[i].ready_rx.recv_timeout(self.timeout))
-    }
-
-    fn release(&mut self, i: usize) -> Result<(), Missed> {
-        self.workers[i].go_tx.send(true).map_err(|_| Missed::Died)
-    }
-
-    fn wave_off(&mut self, i: usize) {
-        let _ = self.workers[i].go_tx.send(false);
-    }
-
-    fn collect(&mut self, i: usize) -> Result<Result<ExecReport, EngineError>, Missed> {
-        watch(self.workers[i].report_rx.recv_timeout(self.timeout))
-    }
-
-    /// A hung thread polls its cancel flag and exits; a dead one joins
-    /// immediately. Joining before the partition is locked guarantees the
-    /// old worker's window guard is released.
-    fn retire(&mut self, i: usize) {
-        let worker = &mut self.workers[i];
-        worker.cancel.store(true, Ordering::SeqCst);
-        let _ = worker.cmd_tx.send(Cmd::Shutdown);
-        if let Some(handle) = worker.handle.take() {
-            let _ = handle.join();
+    fn run(
+        &self,
+        parts: &mut Vec<Partition>,
+        executors: &[Executor],
+        released: &[bool],
+        config: &ObserverConfig,
+    ) -> Vec<SlotReport> {
+        let mut held: Vec<Option<Partition>> =
+            std::mem::take(parts).into_iter().map(Some).collect();
+        // An idle slot's empty assignment runs nothing.
+        let mut results: Vec<SlotReport> = released
+            .iter()
+            .map(|&released| released.then(|| Ok(ExecReport::missed())))
+            .collect();
+        // Hand out every window before collecting any, so they run at once.
+        let mut busy = Vec::new();
+        for (i, worker) in self.workers.iter().enumerate() {
+            let program = self.programs.get(i);
+            let Some(program) = program.filter(|p| released[i] && !p.is_empty()) else {
+                continue;
+            };
+            let job = Job {
+                part: held[i].take().expect("a partition per slot"),
+                executor: executors[i].clone(),
+                program: Arc::clone(program),
+                window: config.window,
+            };
+            worker
+                .jobs
+                .send(job)
+                .expect("workers outlive their observer");
+            busy.push(i);
         }
+        for i in busy {
+            let done = self.workers[i].done.recv();
+            let (part, report) = done.expect("workers outlive their observer");
+            held[i] = Some(part);
+            results[i] = Some(report.unwrap_or_else(|panic| resume_unwind(panic)));
+        }
+        *parts = held
+            .into_iter()
+            .map(|p| p.expect("every partition came back"))
+            .collect();
+        results
     }
-
-    fn install(&mut self, i: usize, executor: Executor) {
-        self.workers[i] = spawn_worker(Arc::clone(self.shared), i, executor);
-    }
-}
-
-/// Lock a partition, recovering the guard from a worker that panicked
-/// while holding it (the supervisor respawns that worker anyway).
-fn lock(partition: &Mutex<Partition>) -> MutexGuard<'_, Partition> {
-    partition.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Lock partition `i` for measurement, folding the wait into the
-/// supervisor's legacy lock-wait accounting.
-fn lock_for_measure(shared: &Shared, i: usize) -> MutexGuard<'_, Partition> {
-    let wait = Instant::now();
-    let guard = lock(&shared.partitions[i]);
-    let waited_ns = wait.elapsed().as_nanos() as u64;
-    shared
-        .locks
-        .measure_ns
-        .fetch_add(waited_ns, Ordering::Relaxed);
-    shared.telemetry.record_lock_wait(waited_ns);
-    guard
 }
 
 impl Drop for ParallelObserver {
+    /// Hang up on each worker, then join it.
     fn drop(&mut self) {
-        for worker in &self.workers {
-            worker.cancel.store(true, Ordering::SeqCst);
-            let _ = worker.cmd_tx.send(Cmd::Shutdown);
-        }
-        for worker in &mut self.workers {
-            if let Some(handle) = worker.handle.take() {
-                let _ = handle.join();
-            }
+        for Worker { jobs, handle, .. } in self.workers.drain(..) {
+            drop(jobs);
+            let _ = handle.join();
         }
     }
-}
-
-/// A fault-injected hang: park until the supervisor cancels us, then let
-/// the thread exit so it can be joined and respawned. Hangs fire outside
-/// [`run_window`], so a parked thread never holds its partition lock.
-fn park_until_cancelled(cancel: &AtomicBool) {
-    while !cancel.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_micros(200));
-    }
-}
-
-fn spawn_worker(shared: Arc<Shared>, slot: usize, executor: Executor) -> Worker {
-    let container = executor.container.clone();
-    let (cmd_tx, cmd_rx) = sync_channel::<Cmd>(1);
-    let (ready_tx, ready_rx) = sync_channel::<()>(1);
-    let (go_tx, go_rx) = sync_channel::<bool>(1);
-    let (report_tx, report_rx) = sync_channel::<Result<ExecReport, EngineError>>(1);
-    let cancel = Arc::new(AtomicBool::new(false));
-    let thread_cancel = Arc::clone(&cancel);
-    let handle = std::thread::spawn(move || {
-        while let Ok(Cmd::Run {
-            program,
-            window,
-            hang,
-        }) = cmd_rx.recv()
-        {
-            if hang.ready {
-                park_until_cancelled(&thread_cancel);
-                return;
-            }
-            // Container-side preparation done; first latch.
-            if ready_tx.send(()).is_err() {
-                return;
-            }
-            // Second latch: the observer releases everyone at once, or
-            // waves the round off (`false`) after a quorum failure.
-            match go_rx.recv() {
-                Ok(true) => {}
-                Ok(false) => continue,
-                Err(_) => return,
-            }
-            let report = run_window(&shared, slot, &executor, &program, window);
-            if hang.report {
-                park_until_cancelled(&thread_cancel);
-                return;
-            }
-            if report_tx.send(report).is_err() {
-                return;
-            }
-        }
-    });
-    Worker {
-        cmd_tx,
-        ready_rx,
-        go_tx,
-        report_rx,
-        cancel,
-        container,
-        handle: Some(handle),
-    }
-}
-
-/// Algorithm 1 ([`Executor::run_until`]) over this worker's own kernel
-/// partition. The partition is locked once for the whole window — the only
-/// thing the acquisition can wait on is the supervisor finishing the
-/// previous round's measurement — and every iteration runs on plain
-/// `&mut Kernel`. An idle worker's empty assignment runs nothing.
-fn run_window(
-    shared: &Shared,
-    slot: usize,
-    executor: &Executor,
-    program: &Program,
-    window: Usecs,
-) -> Result<ExecReport, EngineError> {
-    if program.is_empty() {
-        return Ok(ExecReport::missed());
-    }
-    let wait = Instant::now();
-    let mut part = lock(&shared.partitions[slot]);
-    let waited_ns = wait.elapsed().as_nanos() as u64;
-    shared
-        .locks
-        .exec_kernel_ns
-        .fetch_add(waited_ns, Ordering::Relaxed);
-    shared.telemetry.record_kernel_wait(waited_ns);
-    let part = &mut *part;
-    executor.run_until(
-        &mut part.kernel,
-        &part.engine,
-        &shared.table,
-        program,
-        window,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::observer::{Observer, SupervisorConfig};
+    use std::time::Duration;
     use torpedo_kernel::KernelConfig;
     use torpedo_prog::{build_table, deserialize};
     use torpedo_runtime::FaultConfig;
@@ -510,7 +310,7 @@ mod tests {
     }
 
     /// The executor-hang plan the recovery tests share: a 25% hang rate
-    /// under a 250 ms stage deadline and a 50 µs backoff base.
+    /// and a 50 µs backoff base.
     fn hang_config(executors: usize) -> ObserverConfig {
         ObserverConfig {
             faults: FaultConfig {
@@ -519,7 +319,6 @@ mod tests {
                 ..FaultConfig::default()
             },
             supervisor: SupervisorConfig {
-                stage_timeout: Duration::from_millis(250),
                 backoff_base: Duration::from_micros(50),
                 ..SupervisorConfig::default()
             },
@@ -747,9 +546,8 @@ mod tests {
         assert!(rec.reports[1].crash.is_none());
     }
 
-    /// Satellite (d): a hung worker is detected within the stage deadline,
-    /// restarted (thread + container), and the round still produces an
-    /// observation with the full fleet shape.
+    /// A hung worker is detected, its container respawned, and the round
+    /// still produces an observation with the full fleet shape.
     #[test]
     fn hung_worker_is_detected_restarted_and_round_salvaged() {
         let table = build_table();
@@ -773,13 +571,13 @@ mod tests {
         assert!(rec.worker_restarts > 0);
         assert_eq!(rec.worker_restarts, rec.containers_respawned);
         assert!(salvaged_rounds > 0);
-        // The fleet is whole again: a fault-free round runs to completion
-        // with every slot accounted for. (Under heavy host load a healthy
-        // worker can still miss a deadline and be salvaged — the watchdog
-        // cannot tell slow from hung — so don't demand zero salvage here.)
+        // The fleet is whole again: a fault-free round misses no slot.
         obs.sup.faults = None;
+        let before = obs.recovery();
         let rec = obs.round(&programs).unwrap();
         assert_eq!(rec.reports.len(), 3);
+        assert!(rec.reports.iter().all(|r| r.executions > 0));
+        assert_eq!(obs.recovery(), before);
         assert_eq!(obs.workers(), 3);
     }
 

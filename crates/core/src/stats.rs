@@ -43,11 +43,11 @@ pub fn telemetry_saturation_section(telemetry: &Telemetry) -> String {
 /// with [`RecoveryStats::since`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Worker threads restarted after a hang or death.
+    /// Executors respawned after a hang.
     pub worker_restarts: u64,
-    /// Containers torn down and recreated for a restarted worker.
+    /// Containers torn down and recreated for a respawned executor.
     pub containers_respawned: u64,
-    /// Executor hangs detected by the stage watchdog.
+    /// Executor hangs the supervisor handled (rolled by the fault plan).
     pub hangs_detected: u64,
     /// Rounds abandoned and retried from scratch.
     pub rounds_retried: u64,

@@ -38,7 +38,8 @@ pub enum FaultKind {
     ContainerCrash,
     /// The runtime returns a transient exec error instead of an outcome.
     ExecError,
-    /// The executor wedges and misses its ready/report latch deadline.
+    /// The executor hangs before signalling ready, or instead of
+    /// reporting.
     ExecutorHang,
     /// A campaign checkpoint write dies mid-rename: the temp file lands
     /// but the atomic rename to the final name never happens, leaving the
@@ -95,7 +96,8 @@ pub struct FaultConfig {
     pub container_crash: f64,
     /// Probability an exec returns a transient runtime error.
     pub exec_error: f64,
-    /// Probability an executor hangs past its latch deadline.
+    /// Probability an executor hangs at a round stage (rolled once for
+    /// ready and once for report).
     pub executor_hang: f64,
     /// Probability a due campaign checkpoint write dies mid-rename.
     pub checkpoint_write_fail: f64,

@@ -300,7 +300,10 @@ struct EventRing {
 impl EventRing {
     fn new(capacity: usize) -> EventRing {
         EventRing {
-            events: VecDeque::with_capacity(capacity.clamp(1, DEFAULT_EVENT_CAPACITY)),
+            // Empty until events arrive: a log holds only a few between
+            // barriers, and reserving `capacity` up front costs hundreds of
+            // KB per log.
+            events: VecDeque::new(),
             capacity: capacity.max(1),
             appended: 0,
         }
@@ -781,6 +784,12 @@ mod tests {
         assert_eq!(wire::need_u64(&body, "next"), Ok(10));
         let entries = wire::need_array(&body, "events").unwrap();
         assert_eq!(Event::from_json(&entries[0]).unwrap(), tail[0]);
+    }
+
+    #[test]
+    fn rings_allocate_on_demand() {
+        let ring = EventRing::new(DEFAULT_EVENT_CAPACITY);
+        assert_eq!(ring.events.capacity(), 0);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub fn safe_div(n: f64, d: f64) -> f64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum SpanKind {
-    /// One full observer round (latch → run → measure → judge).
+    /// One full observer round attempt (release → run → measure).
     Round = 0,
     /// One executor's `run_until` window (Algorithm 1 loop).
     Exec = 1,
@@ -64,22 +64,18 @@ pub enum SpanKind {
     Oracle = 3,
     /// Corpus mutation between rounds.
     Mutate = 4,
-    /// Time spent waiting on a contended lock: a kernel partition's, for
-    /// an execution window or for measurement.
-    LockWait = 5,
     /// Checkpoint-bundle rendering/writing, and resume-time verification.
-    Checkpoint = 6,
+    Checkpoint = 5,
 }
 
 impl SpanKind {
     /// Every kind, in stable export order.
-    pub const ALL: [SpanKind; 7] = [
+    pub const ALL: [SpanKind; 6] = [
         SpanKind::Round,
         SpanKind::Exec,
         SpanKind::Snapshot,
         SpanKind::Oracle,
         SpanKind::Mutate,
-        SpanKind::LockWait,
         SpanKind::Checkpoint,
     ];
 
@@ -91,7 +87,6 @@ impl SpanKind {
             SpanKind::Snapshot => "snapshot",
             SpanKind::Oracle => "oracle",
             SpanKind::Mutate => "mutate",
-            SpanKind::LockWait => "lock-wait",
             SpanKind::Checkpoint => "checkpoint",
         }
     }
@@ -223,28 +218,6 @@ impl Telemetry {
     pub fn observe(&self, id: HistogramId, value: u64) {
         if let Some(inner) = &self.inner {
             inner.registry.observe(id, value);
-        }
-    }
-
-    /// Fold an externally-measured lock wait in. Updates the lock-wait span
-    /// aggregate and histogram with atomics only — no journal entry and no
-    /// clock read, because this is called from the parallel exec hot loop.
-    pub fn record_lock_wait(&self, ns: u64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.record_span(SpanKind::LockWait, ns);
-            inner.registry.observe(HistogramId::LockWaitNs, ns);
-        }
-    }
-
-    /// Fold an externally-measured kernel-partition wait in: the once-per-
-    /// window acquisition of a worker's own kernel partition. Shares the
-    /// lock-wait span aggregate (it is still a lock wait) but feeds the
-    /// dedicated `kernel_wait_ns` histogram so partition contention stays
-    /// separable from the legacy shared-lock series. Atomics only.
-    pub fn record_kernel_wait(&self, ns: u64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.record_span(SpanKind::LockWait, ns);
-            inner.registry.observe(HistogramId::KernelWaitNs, ns);
         }
     }
 
@@ -397,7 +370,7 @@ mod tests {
         }
         t.incr(CounterId::RoundsCompleted);
         t.observe(HistogramId::RoundLatencyNs, 123);
-        t.record_lock_wait(55);
+        t.record_span_ns(SpanKind::Round, 55);
         assert_eq!(t.counter(CounterId::RoundsCompleted), 0);
         assert_eq!(t.histogram(HistogramId::RoundLatencyNs).count, 0);
         assert!(t.journal_events().is_empty());
@@ -438,12 +411,13 @@ mod tests {
     }
 
     #[test]
-    fn lock_waits_skip_the_journal() {
+    fn external_spans_skip_the_journal() {
         let t = Telemetry::enabled();
-        t.record_lock_wait(1_000);
-        t.record_lock_wait(3_000);
+        t.record_span_ns(SpanKind::Round, 1_000);
+        t.record_span_ns(SpanKind::Round, 3_000);
         assert!(t.journal_events().is_empty());
-        let hist = t.histogram(HistogramId::LockWaitNs);
+        assert_eq!(t.span_totals(SpanKind::Round), (2, 4_000));
+        let hist = t.histogram(HistogramId::RoundLatencyNs);
         assert_eq!(hist.count, 2);
         assert_eq!(hist.sum, 4_000);
         assert_eq!(hist.max, 3_000);

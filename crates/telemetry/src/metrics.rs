@@ -92,12 +92,6 @@ pub enum HistogramId {
     RoundLatencyNs = 0,
     /// Virtual microseconds per program execution.
     ExecLatencyUs = 1,
-    /// Host nanoseconds spent waiting on contended locks.
-    LockWaitNs = 2,
-    /// Host nanoseconds a worker waits to acquire its kernel partition for
-    /// an execution window (the partitioned successor to the exec-path share
-    /// of `lock_wait_ns`; measurement-path waits stay in the legacy series).
-    KernelWaitNs = 3,
 }
 
 /// Number of finite bucket bounds per histogram (plus one overflow bucket).
@@ -122,37 +116,23 @@ const ROUND_LATENCY_BOUNDS: [u64; BUCKETS] = pow4_bounds(1_024);
 /// clear a full executor window plus collider tail (observed max 5.4 Mµs),
 /// or p99 drowns in the overflow bucket.
 const EXEC_LATENCY_BOUNDS: [u64; BUCKETS] = pow4_bounds(4);
-/// 256 ns … ~1.07 s in host nanoseconds.
-const LOCK_WAIT_BOUNDS: [u64; BUCKETS] = pow4_bounds(256);
-/// 256 ns … ~1.07 s in host nanoseconds (same ladder as `lock_wait_ns`, so
-/// the two series stay directly comparable).
-const KERNEL_WAIT_BOUNDS: [u64; BUCKETS] = pow4_bounds(256);
 
 impl HistogramId {
     /// Every histogram, in stable export order.
-    pub const ALL: [HistogramId; 4] = [
-        HistogramId::RoundLatencyNs,
-        HistogramId::ExecLatencyUs,
-        HistogramId::LockWaitNs,
-        HistogramId::KernelWaitNs,
-    ];
+    pub const ALL: [HistogramId; 2] = [HistogramId::RoundLatencyNs, HistogramId::ExecLatencyUs];
 
     /// Stable wire name.
     pub fn as_str(self) -> &'static str {
         match self {
             HistogramId::RoundLatencyNs => "round_latency_ns",
             HistogramId::ExecLatencyUs => "exec_latency_us",
-            HistogramId::LockWaitNs => "lock_wait_ns",
-            HistogramId::KernelWaitNs => "kernel_wait_ns",
         }
     }
 
     /// The unit the series is recorded in.
     pub fn unit(self) -> &'static str {
         match self {
-            HistogramId::RoundLatencyNs | HistogramId::LockWaitNs | HistogramId::KernelWaitNs => {
-                "ns"
-            }
+            HistogramId::RoundLatencyNs => "ns",
             HistogramId::ExecLatencyUs => "us",
         }
     }
@@ -162,8 +142,6 @@ impl HistogramId {
         match self {
             HistogramId::RoundLatencyNs => &ROUND_LATENCY_BOUNDS,
             HistogramId::ExecLatencyUs => &EXEC_LATENCY_BOUNDS,
-            HistogramId::LockWaitNs => &LOCK_WAIT_BOUNDS,
-            HistogramId::KernelWaitNs => &KERNEL_WAIT_BOUNDS,
         }
     }
 }
@@ -341,11 +319,11 @@ mod tests {
     #[test]
     fn observations_land_in_the_right_bucket() {
         let reg = Registry::new();
-        // Bound 0 of lock_wait_ns is 256: a 256 ns wait is inclusive.
-        reg.observe(HistogramId::LockWaitNs, 256);
-        reg.observe(HistogramId::LockWaitNs, 257);
-        reg.observe(HistogramId::LockWaitNs, u64::MAX);
-        let snap = reg.snapshot(HistogramId::LockWaitNs);
+        // Bound 0 of round_latency_ns is 1024: a 1024 ns round is inclusive.
+        reg.observe(HistogramId::RoundLatencyNs, 1_024);
+        reg.observe(HistogramId::RoundLatencyNs, 1_025);
+        reg.observe(HistogramId::RoundLatencyNs, u64::MAX);
+        let snap = reg.snapshot(HistogramId::RoundLatencyNs);
         assert_eq!(snap.buckets[0], 1);
         assert_eq!(snap.buckets[1], 1);
         assert_eq!(snap.overflow, 1);
@@ -365,16 +343,6 @@ mod tests {
         let snap = reg.snapshot(HistogramId::ExecLatencyUs);
         assert_eq!(snap.overflow, 0);
         assert_eq!(snap.buckets[BUCKETS - 1], 1);
-    }
-
-    #[test]
-    fn kernel_wait_shares_the_lock_wait_ladder() {
-        assert_eq!(
-            HistogramId::KernelWaitNs.bounds(),
-            HistogramId::LockWaitNs.bounds()
-        );
-        assert_eq!(HistogramId::KernelWaitNs.as_str(), "kernel_wait_ns");
-        assert_eq!(HistogramId::KernelWaitNs.unit(), "ns");
     }
 
     #[test]

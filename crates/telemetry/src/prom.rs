@@ -272,33 +272,35 @@ mod tests {
     fn enabled_exposition_has_cumulative_buckets_and_checks_clean() {
         let t = Telemetry::enabled();
         t.add(CounterId::ExecsTotal, 7);
-        t.observe(HistogramId::LockWaitNs, 100);
-        t.observe(HistogramId::LockWaitNs, 300);
+        t.observe(HistogramId::RoundLatencyNs, 100);
+        t.observe(HistogramId::RoundLatencyNs, 2_000);
         let text = prometheus_exposition(&t);
         assert!(text.contains("torpedo_execs_total 7\n"));
-        // 100 lands in bucket le=256, 300 in le=1024; buckets are cumulative.
-        assert!(text.contains("torpedo_lock_wait_ns_bucket{le=\"256\"} 1\n"));
-        assert!(text.contains("torpedo_lock_wait_ns_bucket{le=\"1024\"} 2\n"));
-        assert!(text.contains("torpedo_lock_wait_ns_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("torpedo_lock_wait_ns_count 2\n"));
-        assert!(text.contains("torpedo_lock_wait_ns_p50 "));
+        // 100 lands in bucket le=1024, 2000 in le=4096; buckets are
+        // cumulative.
+        assert!(text.contains("torpedo_round_latency_ns_bucket{le=\"1024\"} 1\n"));
+        assert!(text.contains("torpedo_round_latency_ns_bucket{le=\"4096\"} 2\n"));
+        assert!(text.contains("torpedo_round_latency_ns_bucket{le=\"+Inf\"} 2\n"));
+        assert!(text.contains("torpedo_round_latency_ns_count 2\n"));
+        assert!(text.contains("torpedo_round_latency_ns_p50 "));
         assert!(check_exposition(&text).unwrap() > 20);
     }
 
     #[test]
     fn quantiles_interpolate_within_buckets() {
         let t = Telemetry::enabled();
-        // 100 observations all in the first lock-wait bucket (bound 256).
+        // 100 observations all in the first round-latency bucket (bound
+        // 1024).
         for _ in 0..100 {
-            t.observe(HistogramId::LockWaitNs, 128);
+            t.observe(HistogramId::RoundLatencyNs, 512);
         }
-        let snap = t.histogram(HistogramId::LockWaitNs);
-        let p50 = quantile_from_snapshot(HistogramId::LockWaitNs, &snap, 0.50);
-        assert_eq!(p50, 128.0);
+        let snap = t.histogram(HistogramId::RoundLatencyNs);
+        let p50 = quantile_from_snapshot(HistogramId::RoundLatencyNs, &snap, 0.50);
+        assert_eq!(p50, 512.0);
         // An empty histogram yields 0 for every quantile.
-        let empty = t.histogram(HistogramId::RoundLatencyNs);
+        let empty = t.histogram(HistogramId::ExecLatencyUs);
         assert_eq!(
-            quantile_from_snapshot(HistogramId::RoundLatencyNs, &empty, 0.99),
+            quantile_from_snapshot(HistogramId::ExecLatencyUs, &empty, 0.99),
             0.0
         );
     }

@@ -9,7 +9,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::{CounterId, EventLog, Telemetry};
 
@@ -185,20 +185,24 @@ fn serve_loop(listener: TcpListener, shared: Arc<StatusShared>, shutdown: Arc<At
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &StatusShared) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    stream.set_write_timeout(Some(Duration::from_millis(500)))?;
+    // One deadline for the whole connection: reads, the response write and
+    // the drain. A per-call timeout would restart with every byte, so a
+    // client trickling its headers could hold the one serving thread for
+    // as long as it liked.
+    let deadline = Instant::now() + Duration::from_millis(500);
 
     // Read until the end of the request headers (or a small cap). As soon
     // as a complete request line for a method we won't read a body for
     // arrives we stop reading: the request line is everything those paths
-    // need, and a HEAD probe or a stray POST must not sit out the 500 ms
-    // read timeout. When a control plane is mounted, POST bodies are read
-    // to Content-Length (capped) before dispatch.
+    // need, and a HEAD probe or a stray POST must not sit out the
+    // deadline. When a control plane is mounted, POST bodies are read to
+    // Content-Length (capped) before dispatch.
     let control = shared.control();
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     let mut headers_end: Option<usize> = None;
-    loop {
+    while let Some(left) = time_left(deadline) {
+        stream.set_read_timeout(Some(left))?;
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => {
@@ -267,10 +271,12 @@ fn handle_connection(mut stream: TcpStream, shared: &StatusShared) -> io::Result
                     // Long-poll, capped short: the serve loop handles one
                     // connection at a time, so a caught-up tail waits at
                     // most ~400 ms for fresh events before answering empty
-                    // rather than starving the other routes.
+                    // rather than starving the other routes. It leaves the
+                    // connection's last 50 ms to the response.
                     if wait {
+                        let answer_by = deadline - Duration::from_millis(50);
                         for _ in 0..40 {
-                            if events.appended() > since {
+                            if events.appended() > since || Instant::now() >= answer_by {
                                 break;
                             }
                             thread::sleep(Duration::from_millis(10));
@@ -359,16 +365,38 @@ fn handle_connection(mut stream: TcpStream, shared: &StatusShared) -> io::Result
     if include_body {
         response.push_str(&body);
     }
-    stream.write_all(response.as_bytes())?;
-    stream.flush()?;
+    let mut unsent = response.as_bytes();
+    while !unsent.is_empty() {
+        let left = time_left(deadline).ok_or(io::ErrorKind::TimedOut)?;
+        stream.set_write_timeout(Some(left))?;
+        match stream.write(unsent) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => unsent = &unsent[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     // We may have stopped reading before the client finished sending its
     // headers; closing now could RST the connection and clobber the
     // response in flight. Signal end-of-response, then drain what is left
-    // until the client hangs up.
+    // until the client hangs up, for at most 100 ms and never past the
+    // deadline.
     let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    while matches!(stream.read(&mut chunk), Ok(n) if n > 0) {}
+    let drain_until = deadline.min(Instant::now() + Duration::from_millis(100));
+    while let Some(left) = time_left(drain_until) {
+        let _ = stream.set_read_timeout(Some(left));
+        if !matches!(stream.read(&mut chunk), Ok(n) if n > 0) {
+            break;
+        }
+    }
     Ok(())
+}
+
+/// The time left before `deadline`, or `None` once it has passed.
+fn time_left(deadline: Instant) -> Option<Duration> {
+    deadline
+        .checked_duration_since(Instant::now())
+        .filter(|left| !left.is_zero())
 }
 
 /// Split an HTTP request line (`GET /metrics HTTP/1.1`) into method, path
@@ -529,6 +557,39 @@ mod tests {
 
         let (head, _) = request(addr, "HEAD", "/nope").unwrap();
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
+    }
+
+    /// One deadline bounds a connection, so a client that trickles its
+    /// headers a byte at a time cannot hold the serving thread: a
+    /// concurrent `/metrics.prom` fetch still answers promptly.
+    #[test]
+    fn trickling_client_cannot_starve_other_requests() {
+        let shared = Arc::new(StatusShared::new(Telemetry::enabled()));
+        let server = StatusServer::bind("127.0.0.1:0", Arc::clone(&shared)).unwrap();
+        let addr = server.local_addr();
+        let (connected_tx, connected) = std::sync::mpsc::channel();
+        let trickler = thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(b"GET / HTTP/1.1\r\n").unwrap();
+            connected_tx.send(()).unwrap();
+            // One header byte every 300 ms, for up to 6 s or until the
+            // server hangs up.
+            for _ in 0..20 {
+                thread::sleep(Duration::from_millis(300));
+                if stream.write_all(b"X").is_err() {
+                    break;
+                }
+            }
+        });
+        // The trickler is queued first, so the server takes it first.
+        connected.recv().unwrap();
+        let started = Instant::now();
+        let (head, body) = http_get(addr, "/metrics.prom").unwrap();
+        let waited = started.elapsed();
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        crate::prom::check_exposition(&body).unwrap();
+        assert!(waited < Duration::from_secs(2), "waited {waited:?}");
+        trickler.join().unwrap();
     }
 
     #[test]

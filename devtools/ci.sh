@@ -38,7 +38,7 @@ if ! awk -v v="$execs_per_s" -v ref="$CAMPAIGN_EXECS_PER_S_REF" 'BEGIN { exit !(
   exit 1
 fi
 
-echo "ci: timing check (wall-clock overheads, contention, scaling; release build)"
+echo "ci: timing check (wall-clock overheads, scaling; release build)"
 ./target/release/timing_check
 
 echo "ci: cargo test"

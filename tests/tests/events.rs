@@ -9,7 +9,7 @@ use std::sync::Arc;
 use torpedo_prop::prelude::*;
 
 use torpedo_core::campaign::{Campaign, CampaignConfig, CampaignReport};
-use torpedo_core::fleet::{Fleet, FleetConfig, FleetSpec};
+use torpedo_core::fleet::{CampaignState, Fleet, FleetConfig, FleetOutcome, FleetSpec};
 use torpedo_core::logfmt::write_round;
 use torpedo_core::observer::ObserverConfig;
 use torpedo_core::seeds::{default_denylist, SeedCorpus};
@@ -79,21 +79,31 @@ const TENANT_SEEDS: &[&str] = &[
     "stat(&'/etc/passwd', 0x0)\n",
 ];
 
+/// A one-executor tenant seeded with every `TENANT_SEEDS` program,
+/// starting at program `i`: four batches of up to 3 rounds, so a 48-round
+/// budget runs out with tenants still mid-campaign.
 fn fleet_spec(i: usize, table: &Arc<[SyscallDesc]>) -> FleetSpec {
     let mut config = campaign_config(0xEE_0000 + i as u64);
     config.observer.executors = 1;
+    let seeds: Vec<&str> = (0..TENANT_SEEDS.len())
+        .map(|k| TENANT_SEEDS[(i + k) % TENANT_SEEDS.len()])
+        .collect();
     FleetSpec {
         name: format!("tenant-{i}"),
         config,
         table: Arc::clone(table),
-        seeds: SeedCorpus::load(
-            &[TENANT_SEEDS[i % TENANT_SEEDS.len()]],
-            table,
-            &default_denylist(),
-        )
-        .unwrap(),
+        seeds: SeedCorpus::load(&seeds, table, &default_denylist()).unwrap(),
         oracle: Arc::new(CpuOracle::new()),
     }
+}
+
+/// Whether the budget ran out with some tenant neither finished nor
+/// failed.
+fn cut_off_mid_campaign(outcome: &FleetOutcome) -> bool {
+    outcome
+        .rows
+        .iter()
+        .any(|r| !matches!(r.state, CampaignState::Finished | CampaignState::Failed))
 }
 
 proptest! {
@@ -155,7 +165,9 @@ proptest! {
             for i in 0..campaigns {
                 fleet.admit(fleet_spec(i, &table));
             }
-            fleet.run().unwrap();
+            let outcome = fleet.run().unwrap();
+            prop_assert_eq!(outcome.rounds_total, 48);
+            prop_assert!(cut_off_mid_campaign(&outcome), "{}", outcome.render());
             journals.push((workers, fs::read_to_string(&path).unwrap()));
         }
         let (_, reference) = &journals[0];
@@ -206,6 +218,11 @@ fn fleet_journal_folds_and_serves_the_observatory() {
                 interval_rounds: 2,
                 keep: 2,
             });
+            if checkpoints.is_some() && i == 0 {
+                // Every checkpoint of this tenant faults, so it falls
+                // further behind with each round it runs.
+                spec.config.observer.faults.checkpoint_write_fail = 1.0;
+            }
             fleet.admit(spec);
         }
         fleet.run().unwrap()
@@ -227,6 +244,7 @@ fn fleet_journal_folds_and_serves_the_observatory() {
     );
     assert!(!watched.health.is_empty());
     assert!(watched.render().contains("health findings"));
+    assert!(cut_off_mid_campaign(&watched), "{}", watched.render());
 
     let journal = load_journal(&journal_path).unwrap();
     assert!(!journal.events.is_empty());
@@ -258,10 +276,10 @@ fn fleet_journal_folds_and_serves_the_observatory() {
 
     // Checkpointing tenants with the detectors armed: checkpoint lag comes
     // from the runs, not from the event log, so the reports stay equal,
-    // with parking and without. These tenants finish after 3 rounds, so
-    // only a bound under the 2-round interval makes the detector fire.
+    // with parking and without. The bound is the 2-round interval, which
+    // only the tenant whose checkpoints all fault can exceed.
     let lagging = HealthConfig {
-        checkpoint_lag_rounds: 0,
+        checkpoint_lag_rounds: 2,
         ..HealthConfig::default()
     };
     for max_active in [3, usize::MAX] {

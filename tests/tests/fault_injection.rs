@@ -37,8 +37,7 @@ fn faulty_config(faults: FaultConfig, parallel: bool) -> CampaignConfig {
             executors: 3,
             faults,
             supervisor: SupervisorConfig {
-                // Real-time knobs shrunk so injected hangs resolve fast.
-                stage_timeout: Duration::from_millis(100),
+                // Backoff shrunk so injected start failures resolve fast.
                 backoff_base: Duration::from_micros(50),
                 backoff_cap: Duration::from_micros(400),
                 ..SupervisorConfig::default()
@@ -101,8 +100,9 @@ fn faulty_campaign_completes_and_reports_recovery() {
     assert_eq!(parsed[0].recovery, salvaged_log.recovery);
 }
 
-/// The same campaign under the threaded observer: real hung threads are
-/// detected by the watchdog, restarted, and the campaign still finishes.
+/// The same campaign under the threaded observer: each rolled hang is
+/// respawned inside its worker's own partition, and the campaign still
+/// finishes.
 #[test]
 fn faulty_parallel_campaign_completes() {
     let report = run(
@@ -121,7 +121,8 @@ fn faulty_parallel_campaign_completes() {
 
 /// Acceptance: an identical re-run with the same campaign seed and fault
 /// plan is bit-for-bit deterministic — same rounds, same scores, same
-/// recovery counters, same injected-fault counters, same flagged programs.
+/// recovery counters, same injected-fault counters, same flagged programs
+/// and same round logs — under the sequential and the threaded observer.
 #[test]
 fn same_seed_and_fault_plan_is_deterministic() {
     let faults = FaultConfig {
@@ -134,27 +135,34 @@ fn same_seed_and_fault_plan_is_deterministic() {
         checkpoint_write_fail: 0.0,
     };
     let table = build_table();
-    let a = run(faults.clone(), false);
-    let b = run(faults, false);
-    assert_eq!(a.rounds_total, b.rounds_total);
-    assert_eq!(a.recovery, b.recovery);
-    assert_eq!(a.faults_injected, b.faults_injected);
-    assert!(a.recovery.total() > 0, "the schedule must actually inject");
-    let scores_a: Vec<u64> = a.logs.iter().map(|l| l.score.to_bits()).collect();
-    let scores_b: Vec<u64> = b.logs.iter().map(|l| l.score.to_bits()).collect();
-    assert_eq!(scores_a, scores_b, "scores must match bit-for-bit");
-    let flagged_a: Vec<String> = a
-        .flagged
-        .iter()
-        .map(|f| serialize(&f.program, &table))
-        .collect();
-    let flagged_b: Vec<String> = b
-        .flagged
-        .iter()
-        .map(|f| serialize(&f.program, &table))
-        .collect();
-    assert_eq!(flagged_a, flagged_b);
-    assert_eq!(a.quarantined, b.quarantined);
+    for parallel in [false, true] {
+        let a = run(faults.clone(), parallel);
+        let b = run(faults.clone(), parallel);
+        assert_eq!(a.rounds_total, b.rounds_total);
+        assert_eq!(a.recovery, b.recovery);
+        assert_eq!(a.faults_injected, b.faults_injected);
+        assert!(a.recovery.total() > 0, "the schedule must actually inject");
+        let scores_a: Vec<u64> = a.logs.iter().map(|l| l.score.to_bits()).collect();
+        let scores_b: Vec<u64> = b.logs.iter().map(|l| l.score.to_bits()).collect();
+        assert_eq!(scores_a, scores_b, "scores must match bit-for-bit");
+        let flagged_a: Vec<String> = a
+            .flagged
+            .iter()
+            .map(|f| serialize(&f.program, &table))
+            .collect();
+        let flagged_b: Vec<String> = b
+            .flagged
+            .iter()
+            .map(|f| serialize(&f.program, &table))
+            .collect();
+        assert_eq!(flagged_a, flagged_b);
+        assert_eq!(a.quarantined, b.quarantined);
+        assert_eq!(
+            format!("{:?}", a.logs),
+            format!("{:?}", b.logs),
+            "parallel: {parallel}"
+        );
+    }
 }
 
 /// A program that keeps killing its executor is quarantined: the campaign

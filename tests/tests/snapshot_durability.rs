@@ -63,7 +63,6 @@ fn durable_config(dir: PathBuf, interval: u64, faults: FaultConfig) -> CampaignC
             faults,
             telemetry: Telemetry::enabled(),
             supervisor: SupervisorConfig {
-                stage_timeout: Duration::from_millis(100),
                 backoff_base: Duration::from_micros(50),
                 backoff_cap: Duration::from_micros(400),
                 ..SupervisorConfig::default()

@@ -71,7 +71,7 @@ fn status_endpoint_serves_stats_and_metrics_end_to_end() {
     );
 
     // `/metrics` round-trips through the schema parser and carries the
-    // round-latency and lock-wait histograms.
+    // round-latency and exec-latency histograms.
     let (status, body) = fetch(addr, "/metrics").unwrap();
     assert!(status.contains("200 OK"), "{status}");
     let snapshot = parse_metrics(&body).unwrap();
@@ -86,8 +86,8 @@ fn status_endpoint_serves_stats_and_metrics_end_to_end() {
     };
     assert_eq!(hist("round_latency_ns").count, report.rounds_total);
     assert!(
-        hist("lock_wait_ns").count > 0,
-        "parallel rounds must record lock waits"
+        hist("exec_latency_us").count > 0,
+        "parallel rounds must record execution latencies"
     );
     let counters: std::collections::BTreeMap<_, _> = snapshot.counters.iter().cloned().collect();
     assert_eq!(counters["rounds_completed"], report.rounds_total);
