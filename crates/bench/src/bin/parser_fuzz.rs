@@ -14,7 +14,7 @@
 //! Targets:
 //!
 //! * `logfmt_json` — [`torpedo_core::parse_json`], [`parse_log`] and
-//!   [`parse_metrics`] over JSON and round-log text.
+//!   [`check_exposition`] over JSON, round-log and exposition text.
 //! * `forensics_bundle` — [`torpedo_core::parse_bundle`]
 //!   (`torpedo-forensics-v1`).
 //! * `seed_file` — the program deserializer, [`SeedCorpus::load`] and the
@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use torpedo_core::campaign::{Campaign, CampaignConfig};
-use torpedo_core::logfmt::{parse_json, parse_log, parse_metrics, write_round};
+use torpedo_core::logfmt::{parse_json, parse_log, write_round};
 use torpedo_core::observer::ObserverConfig;
 use torpedo_core::seeds::{default_denylist, SeedCorpus};
 use torpedo_core::{
@@ -49,7 +49,10 @@ use torpedo_oracle::IoOracle;
 use torpedo_prog::{build_table, deserialize, SyscallDesc};
 use torpedo_telemetry::events::parse_journal;
 use torpedo_telemetry::wire::fnv64;
-use torpedo_telemetry::{Event, EventLog};
+use torpedo_telemetry::{
+    check_exposition, prometheus_exposition, CounterId, Event, EventLog, HistogramId, SpanKind,
+    Telemetry,
+};
 
 const TARGETS: [&str; 5] = [
     "logfmt_json",
@@ -171,9 +174,17 @@ impl Exemplars {
         std::fs::remove_dir_all(&base).ok();
 
         let round_text = write_round(&report.logs[0], table);
+        // A registry with hand-set values and no clock reads renders a
+        // byte-stable exposition.
+        let telemetry = Telemetry::enabled();
+        telemetry.add(CounterId::ExecsTotal, 4_096);
+        telemetry.incr(CounterId::RoundsCompleted);
+        telemetry.record_span_ns(SpanKind::Round, 2_000_000);
+        telemetry.observe(HistogramId::ExecLatencyUs, 17);
         let logfmt_json = vec![
             br#"{"schema":"torpedo-x","n":3,"neg":-17,"pi":3.5,"arr":[1,2,3],"s":"he\"llo\n","t":true,"nul":null,"nest":{"a":[{"b":0.5}]}}"#.to_vec(),
             round_text.clone().into_bytes(),
+            prometheus_exposition(&telemetry).into_bytes(),
         ];
         let forensics_bundle = report
             .forensics
@@ -207,7 +218,7 @@ impl Exemplars {
     }
 }
 
-/// The committed corpus for `target` when present (fuzz/corpora/<target>),
+/// The committed corpus for `target` when present (`fuzz/corpora/<target>`),
 /// else the generated exemplars.
 fn corpus_for(target: &str, exemplars: &Exemplars) -> Vec<Vec<u8>> {
     let dir = Path::new("fuzz").join("corpora").join(target);
@@ -313,7 +324,7 @@ fn fuzz_target(target: &str, seeds: &[Vec<u8>], budget: Duration, table: &[Sysca
             "logfmt_json" => {
                 std::hint::black_box(parse_json(text).is_ok());
                 std::hint::black_box(parse_log(text, table).is_ok());
-                std::hint::black_box(parse_metrics(text).is_ok());
+                std::hint::black_box(check_exposition(text).is_ok());
             }
             "forensics_bundle" => {
                 std::hint::black_box(parse_bundle(text).is_ok());

@@ -2,7 +2,8 @@
 //!
 //! `status_probe ADDR [PATH]` fetches `PATH` (default `/`) from a live
 //! campaign's status server, prints the body, and exits non-zero unless
-//! the server answered `200`, e.g. `status_probe 127.0.0.1:7070 /metrics`.
+//! the server answered `200`, e.g. `status_probe 127.0.0.1:7070 /metrics`
+//! for the Prometheus text exposition.
 
 use std::net::SocketAddr;
 

@@ -26,7 +26,7 @@ use torpedo_prog::{deserialize, DirectedTarget, MutatePolicy, Program, SyscallDe
 
 /// The known-vulnerable recreation seeds of §4.1 ("we begin by distilling a
 /// handful seeds from C programs that recreate the vulnerabilities
-/// described in [21]"), plus the socket probe that leads to the new
+/// described in \[21\]"), plus the socket probe that leads to the new
 /// finding.
 pub const VULNERABILITY_SEEDS: &[(&str, &str)] = &[
     ("sync", "sync()\n"),
@@ -263,7 +263,9 @@ fn schedule_fleet_spec(
     }
 }
 
-/// Run a scheduling fleet of `campaigns` [`schedule_fleet_spec`] tenants.
+/// Run a scheduling fleet of `campaigns` tenants, every
+/// `adversarial_every`-th seeded from a Table 4.2 vulnerability family and
+/// the rest benign.
 pub fn run_schedule_fleet(
     config: FleetConfig,
     campaigns: usize,

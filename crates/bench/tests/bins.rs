@@ -2,13 +2,13 @@
 //! in-process (a campaign, a checkpoint, a bundle or a journal), then runs
 //! the binary on it and checks both the exit status and what it printed.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use torpedo_core::campaign::{Campaign, CampaignConfig, CampaignReport};
 use torpedo_core::forensics::{parse_bundle, BundleKind};
-use torpedo_core::logfmt::{parse_json, parse_metrics, write_round};
+use torpedo_core::logfmt::{parse_json, write_round};
 use torpedo_core::observer::ObserverConfig;
 use torpedo_core::seeds::{default_denylist, SeedCorpus};
 use torpedo_core::{export_corpus, import_corpus, load_latest, CheckpointConfig};
@@ -90,39 +90,32 @@ fn status_probe_fetches_every_endpoint() {
         page.stdout
     );
 
-    let metrics = probe("/metrics");
-    assert!(metrics.success, "{}", metrics.stderr);
-    let snapshot = parse_metrics(&metrics.stdout)
-        .unwrap_or_else(|e| panic!("/metrics schema violation: {e}\n{}", metrics.stdout));
-    assert!(snapshot.enabled, "telemetry unexpectedly disabled");
-    let rounds = snapshot
-        .counters
-        .iter()
-        .find(|(n, _)| n == "rounds_completed")
-        .map_or(0, |(_, v)| *v);
-    assert!(rounds > 0, "no rounds recorded:\n{}", metrics.stdout);
-    let round_hist = snapshot
-        .histograms
-        .iter()
-        .find(|(n, _)| n == "round_latency_ns");
-    assert!(
-        round_hist.is_some_and(|(_, h)| h.count > 0),
-        "no round latencies recorded:\n{}",
-        metrics.stdout
-    );
+    // The exposition passes the checker and carries the enabled gauge, the
+    // rounds counter and the round-latency histogram; `/metrics.prom` is an
+    // alias that serves it too.
+    for path in ["/metrics", "/metrics.prom"] {
+        let metrics = probe(path);
+        assert!(metrics.success, "{}", metrics.stderr);
+        let samples: BTreeMap<String, f64> = check_exposition(&metrics.stdout)
+            .unwrap_or_else(|e| panic!("{path} exposition violation: {e}\n{}", metrics.stdout))
+            .into_iter()
+            .collect();
+        assert_eq!(samples.get("torpedo_telemetry_enabled"), Some(&1.0));
+        assert!(
+            samples["torpedo_rounds_completed"] > 0.0,
+            "no rounds recorded:\n{}",
+            metrics.stdout
+        );
+        assert!(
+            samples["torpedo_round_latency_ns_count"] > 0.0,
+            "no round latencies recorded:\n{}",
+            metrics.stdout
+        );
+    }
 
     let missing = probe("/nonexistent");
     assert!(!missing.success, "a 404 must exit non-zero");
     assert!(missing.stderr.contains("404"), "{}", missing.stderr);
-
-    // Prometheus exposition: parses under the exposition-format checker
-    // and carries the enabled gauge plus the counters.
-    let prom = probe("/metrics.prom");
-    assert!(prom.success, "{}", prom.stderr);
-    check_exposition(&prom.stdout)
-        .unwrap_or_else(|e| panic!("exposition violation: {e}\n{}", prom.stdout));
-    assert!(prom.stdout.contains("torpedo_telemetry_enabled 1"));
-    assert!(prom.stdout.contains("torpedo_rounds_completed"));
 
     // Chrome trace: valid JSON with a traceEvents array.
     let trace = probe("/trace.json");

@@ -68,7 +68,7 @@ pub struct CampaignConfig {
     /// Bind a syz-manager-style status endpoint here (e.g.
     /// `"127.0.0.1:8090"`) for the duration of the run. `None` (the
     /// default) serves nothing. `/` is the text status page, `/metrics`
-    /// the telemetry JSON, `/metrics.prom` the Prometheus exposition,
+    /// the Prometheus exposition (`/metrics.prom` is an alias),
     /// `/trace.json` the Chrome trace.
     pub status_addr: Option<String>,
     /// Record finding forensics: mutation lineage, per-batch score
@@ -284,8 +284,9 @@ impl Campaign {
     }
 
     /// Start the status endpoint on `addr` (use port 0 for an ephemeral
-    /// port), serving the live status page at `/` and the telemetry JSON at
-    /// `/metrics`. Idempotent: a second call returns the existing address.
+    /// port), serving the live status page at `/` and the Prometheus
+    /// exposition at `/metrics`. Idempotent: a second call returns the
+    /// existing address.
     /// [`Campaign::run`] calls this automatically when
     /// [`CampaignConfig::status_addr`] is set.
     ///

@@ -107,9 +107,6 @@ pub struct FleetConfig {
     /// outcome (off by default: a 1,000-campaign fleet's reports dwarf
     /// the row table).
     pub keep_reports: bool,
-    /// Fleet-level telemetry handle (drives the status endpoint's
-    /// `/metrics`).
-    pub telemetry: Telemetry,
     /// Fleet event stream (DESIGN.md §5g). When enabled, every admitted
     /// campaign gets a per-tenant buffer drained into this log at
     /// generation barriers (campaign-id order, sequence-deduplicated
@@ -138,7 +135,6 @@ impl Default for FleetConfig {
             park_dir: None,
             status_addr: None,
             keep_reports: false,
-            telemetry: Telemetry::disabled(),
             events: EventLog::disabled(),
             health: None,
         }
@@ -1068,7 +1064,9 @@ impl Fleet {
         };
         let status = match &self.config.status_addr {
             Some(addr) => {
-                let shared = Arc::new(StatusShared::new(self.config.telemetry.clone()));
+                // The fleet records no telemetry of its own: `/metrics` is
+                // the disabled exposition plus the health gauges.
+                let shared = Arc::new(StatusShared::new(Telemetry::disabled()));
                 if let Some(control) = &self.control {
                     shared.set_control(Arc::clone(control) as Arc<dyn ControlApi>);
                 }
@@ -1320,7 +1318,7 @@ fn execute_window(mut assignment: Assignment) -> WindowResult {
     }
 }
 
-/// The Prometheus chunk appended to `/metrics.prom` when health
+/// The Prometheus chunk appended to `/metrics` when health
 /// detectors are active: one gauge sample per detector that has ever
 /// fired. Deterministic (BTreeMap order) and absent until a finding
 /// exists.

@@ -18,7 +18,7 @@
 //!   under one global budget, with bandit-style reallocation, a
 //!   starvation bound, and park/unpark through the snapshot path.
 //! * [`minimize`] — Algorithm 3: oracle-violation-preserving shrinking.
-//! * [`confirm`] — the §4.1.4 confirmation harness, classifying root
+//! * [`mod@confirm`] — the §4.1.4 confirmation harness, classifying root
 //!   causes from the kernel's deferral ledger (the ftrace step).
 //! * [`crash`] — container-crash reproduction and minimization.
 //! * [`error`] — the unified [`TorpedoError`] taxonomy the supervised
@@ -89,20 +89,16 @@ pub use forensics::{
 pub use health::{
     evaluate as evaluate_health, HealthConfig, HealthDetector, HealthFinding, HealthSample,
 };
-pub use logfmt::{
-    parse_json, parse_log, parse_metrics, write_round, HistogramExport, JsonValue, LogParseError,
-    MetricsSnapshot, ParsedRound,
-};
+pub use logfmt::{parse_json, parse_log, write_round, JsonValue, LogParseError, ParsedRound};
 pub use minimize::{minimize_with_oracle, OracleMinimized, ViolationHarness};
 pub use observer::{Observer, ObserverConfig, RoundRecord, SupervisorConfig};
 pub use parallel::ParallelObserver;
 pub use prog_sm::{InvalidTransition, ProgEvent, ProgStage, ProgramStateMachine};
 pub use seeds::{default_denylist, filter_denylisted, SeedCorpus};
 pub use snapshot::{
-    derive_round_seed, export_corpus, import_corpus, import_corpus_file, load_checkpoint,
-    load_latest, load_latest_matching, parse_snapshot, read_text_capped, render_campaign_config,
-    write_checkpoint, CheckpointConfig, SnapshotBundle, SnapshotError, CORPUS_SCHEMA,
-    SNAPSHOT_SCHEMA,
+    derive_round_seed, export_corpus, import_corpus, load_checkpoint, load_latest, parse_snapshot,
+    read_text_capped, render_campaign_config, write_checkpoint, CheckpointConfig, SnapshotBundle,
+    SnapshotError, CORPUS_SCHEMA, SNAPSHOT_SCHEMA,
 };
 pub use stats::{telemetry_saturation_section, CampaignStats, RecoveryStats};
 // Telemetry lives in its own crate (the runtime engine feeds it too);

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! === round 17 batch 2 score 31.25 window 5000000 sidecar 3
-//! --- recovery restarts 1 respawned 1 hangs 1 retried 0 salvaged 1 startfail 0 quarantined 0
+//! --- recovery restarts 1 hangs 1 retried 0 salvaged 1 startfail 0 quarantined 0
 //! --- programs
 //! >>> executor 0 cpuset 0 quota 1
 //! sync()
@@ -26,9 +26,6 @@ use torpedo_kernel::cpu::{CpuCategory, CpuTimes};
 use torpedo_kernel::time::Usecs;
 use torpedo_oracle::observation::{ContainerInfo, Observation};
 use torpedo_prog::{deserialize, serialize, SyscallDesc};
-use torpedo_telemetry::wire::{
-    invalid, need, need_array, need_bool, need_f64, need_object, need_str, need_u64,
-};
 
 use crate::campaign::RoundLog;
 use crate::stats::RecoveryStats;
@@ -54,9 +51,8 @@ pub fn write_round(log: &RoundLog, table: &[SyscallDesc]) -> String {
     if !log.recovery.is_zero() {
         let r = &log.recovery;
         out.push_str(&format!(
-            "--- recovery restarts {} respawned {} hangs {} retried {} salvaged {} startfail {} quarantined {}\n",
+            "--- recovery restarts {} hangs {} retried {} salvaged {} startfail {} quarantined {}\n",
             r.worker_restarts,
-            r.containers_respawned,
             r.hangs_detected,
             r.rounds_retried,
             r.rounds_salvaged,
@@ -149,16 +145,15 @@ pub fn parse_log(text: &str, table: &[SyscallDesc]) -> Result<Vec<ParsedRound>, 
             if let Some(rest) = peeked.trim().strip_prefix("--- recovery ") {
                 let parts: Vec<&str> = rest.split_whitespace().collect();
                 match parts.as_slice() {
-                    ["restarts", a, "respawned", b, "hangs", c, "retried", d, "salvaged", e, "startfail", f, "quarantined", g] =>
+                    ["restarts", a, "hangs", b, "retried", c, "salvaged", d, "startfail", e, "quarantined", f] =>
                     {
                         recovery = RecoveryStats {
                             worker_restarts: parse_field(a, n)?,
-                            containers_respawned: parse_field(b, n)?,
-                            hangs_detected: parse_field(c, n)?,
-                            rounds_retried: parse_field(d, n)?,
-                            rounds_salvaged: parse_field(e, n)?,
-                            start_failures: parse_field(f, n)?,
-                            quarantined_programs: parse_field(g, n)?,
+                            hangs_detected: parse_field(b, n)?,
+                            rounds_retried: parse_field(c, n)?,
+                            rounds_salvaged: parse_field(d, n)?,
+                            start_failures: parse_field(e, n)?,
+                            quarantined_programs: parse_field(f, n)?,
                         };
                     }
                     _ => return Err(err(n, "malformed recovery line")),
@@ -267,114 +262,6 @@ pub fn parse_log(text: &str, table: &[SyscallDesc]) -> Result<Vec<ParsedRound>, 
         });
     }
     Ok(rounds)
-}
-
-// ---------------------------------------------------------------------
-// Telemetry metrics parsing
-// ---------------------------------------------------------------------
-//
-// The status server's `/metrics` route serves the telemetry registry as
-// hand-written JSON (the workspace has no serde). The parser below reads
-// it back with the shared strict reader, so the export schema can be
-// validated in tests and consumed by offline tooling the same way round
-// logs are.
-
-/// One histogram from a `/metrics` export.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramExport {
-    /// Unit label (`ns` or `us`).
-    pub unit: String,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observed values.
-    pub sum: u64,
-    /// Largest observed value.
-    pub max: u64,
-    /// `sum / count`, zero when empty.
-    pub mean: f64,
-    /// `(upper_bound, count)` per finite bucket.
-    pub buckets: Vec<(u64, u64)>,
-    /// Observations above the last finite bound.
-    pub overflow: u64,
-}
-
-/// A decoded `/metrics` export: the schema the status endpoint commits to.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Schema tag (`torpedo-telemetry-v1`).
-    pub schema: String,
-    /// Whether telemetry was enabled (a disabled export carries no data).
-    pub enabled: bool,
-    /// Counter values in export order.
-    pub counters: Vec<(String, u64)>,
-    /// Histograms in export order.
-    pub histograms: Vec<(String, HistogramExport)>,
-    /// Per-span-kind `(kind, count, total_ns)` aggregates.
-    pub spans: Vec<(String, u64, u64)>,
-    /// Span events the journal retained.
-    pub journal_recorded: u64,
-    /// Span events the ring overwrote.
-    pub journal_dropped: u64,
-}
-
-/// Parse and validate a `/metrics` JSON export.
-///
-/// # Errors
-/// [`LogParseError`] on malformed JSON or a schema mismatch.
-pub fn parse_metrics(text: &str) -> Result<MetricsSnapshot, LogParseError> {
-    let doc = parse_json(text)?;
-    let schema = need_str(&doc, "schema")?.to_string();
-    if schema != "torpedo-telemetry-v1" {
-        return Err(invalid(format!("unknown schema '{schema}'")));
-    }
-    let enabled = need_bool(&doc, "enabled")?;
-    let mut snapshot = MetricsSnapshot {
-        schema,
-        enabled,
-        counters: Vec::new(),
-        histograms: Vec::new(),
-        spans: Vec::new(),
-        journal_recorded: 0,
-        journal_dropped: 0,
-    };
-    if !enabled {
-        return Ok(snapshot);
-    }
-    for (name, value) in need_object(&doc, "counters")? {
-        let count = value
-            .as_u64()
-            .ok_or_else(|| invalid(format!("counter '{name}' not an integer")))?;
-        snapshot.counters.push((name.clone(), count));
-    }
-    for (name, h) in need_object(&doc, "histograms")? {
-        let mut buckets = Vec::new();
-        for bucket in need_array(h, "buckets")? {
-            buckets.push((need_u64(bucket, "le")?, need_u64(bucket, "count")?));
-        }
-        snapshot.histograms.push((
-            name.clone(),
-            HistogramExport {
-                unit: need_str(h, "unit")?.to_string(),
-                count: need_u64(h, "count")?,
-                sum: need_u64(h, "sum")?,
-                max: need_u64(h, "max")?,
-                mean: need_f64(h, "mean")?,
-                buckets,
-                overflow: need_u64(h, "overflow")?,
-            },
-        ));
-    }
-    for (kind, s) in need_object(&doc, "spans")? {
-        snapshot.spans.push((
-            kind.clone(),
-            need_u64(s, "count")?,
-            need_u64(s, "total_ns")?,
-        ));
-    }
-    let journal = need(&doc, "journal")?;
-    snapshot.journal_recorded = need_u64(journal, "recorded")?;
-    snapshot.journal_dropped = need_u64(journal, "dropped")?;
-    Ok(snapshot)
 }
 
 fn err(line: usize, message: &str) -> LogParseError {
@@ -494,7 +381,6 @@ mod tests {
         let mut log = logs[0].clone();
         log.recovery = RecoveryStats {
             worker_restarts: 2,
-            containers_respawned: 2,
             hangs_detected: 1,
             rounds_retried: 1,
             rounds_salvaged: 1,
@@ -502,7 +388,9 @@ mod tests {
             quarantined_programs: 1,
         };
         let text = write_round(&log, &table);
-        assert!(text.contains("--- recovery restarts 2 "));
+        assert!(text.contains(
+            "--- recovery restarts 2 hangs 1 retried 1 salvaged 1 startfail 3 quarantined 1\n"
+        ));
         let parsed = parse_log(&text, &table).unwrap();
         assert_eq!(parsed[0].recovery, log.recovery);
         // Fault-free rounds stay byte-compatible: no recovery line at all.
@@ -519,62 +407,9 @@ mod tests {
     }
 
     #[test]
-    fn metrics_export_round_trips_through_parser() {
-        use torpedo_telemetry::{CounterId, HistogramId, SpanKind, Telemetry};
-        let telemetry = Telemetry::enabled();
-        telemetry.add(CounterId::ExecsTotal, 41);
-        telemetry.incr(CounterId::RoundsCompleted);
-        telemetry.record_span_ns(SpanKind::Round, 2_000_000);
-        telemetry.observe(HistogramId::ExecLatencyUs, 17);
-        telemetry.record_span_ns(SpanKind::Exec, 900);
-        {
-            let _oracle = telemetry.span(SpanKind::Oracle);
-        }
-        let snapshot = parse_metrics(&telemetry.export_json()).unwrap();
-        assert!(snapshot.enabled);
-        assert_eq!(snapshot.schema, "torpedo-telemetry-v1");
-        let counter = |name: &str| {
-            snapshot
-                .counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-        };
-        assert_eq!(counter("execs_total"), Some(41));
-        assert_eq!(counter("rounds_completed"), Some(1));
-        // Every registry entry survives the trip, in export order.
-        assert_eq!(snapshot.counters.len(), CounterId::ALL.len());
-        assert_eq!(snapshot.histograms.len(), HistogramId::ALL.len());
-        assert_eq!(snapshot.spans.len(), SpanKind::ALL.len());
-        let (name, round_hist) = &snapshot.histograms[0];
-        assert_eq!(name, "round_latency_ns");
-        assert_eq!(round_hist.unit, "ns");
-        assert_eq!(round_hist.count, 1);
-        assert_eq!(round_hist.sum, 2_000_000);
-        assert!((round_hist.mean - 2_000_000.0).abs() < 1.0);
-        assert_eq!(round_hist.buckets.len(), torpedo_telemetry::BUCKETS);
-        let exec = snapshot.spans.iter().find(|(k, _, _)| k == "exec").unwrap();
-        assert_eq!((exec.1, exec.2), (1, 900));
-        // record_span_ns bypasses the journal: only the guarded oracle span
-        // landed there.
-        assert_eq!(snapshot.journal_recorded, 1);
-        assert_eq!(snapshot.journal_dropped, 0);
-    }
-
-    #[test]
-    fn disabled_metrics_export_parses_empty() {
-        use torpedo_telemetry::Telemetry;
-        let snapshot = parse_metrics(&Telemetry::disabled().export_json()).unwrap();
-        assert!(!snapshot.enabled);
-        assert!(snapshot.counters.is_empty());
-        assert!(snapshot.histograms.is_empty());
-    }
-
-    #[test]
-    fn malformed_metrics_are_rejected() {
-        assert!(parse_metrics("not json").is_err());
-        assert!(parse_metrics("{\"schema\":\"other-v9\",\"enabled\":true}").is_err());
-        assert!(parse_metrics("{\"enabled\":true}").is_err());
+    fn malformed_json_is_rejected() {
+        assert!(parse_json("not json").is_err());
+        assert!(parse_json("{\"schema\":").is_err());
         // Trailing garbage after a valid document is not silently ignored.
         assert!(parse_json("{} extra").is_err());
         // Nested structures and escapes decode.

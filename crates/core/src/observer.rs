@@ -351,7 +351,6 @@ impl Supervisor {
         self.executors[i] = self.boot(host, i)?;
         self.restarts[i] = restarts;
         self.recovery.worker_restarts += 1;
-        self.recovery.containers_respawned += 1;
         Ok(())
     }
 
@@ -896,8 +895,17 @@ mod tests {
         }
         let rec = obs.recovery();
         assert!(rec.hangs_detected > 0, "25% hang rate over 12 rounds");
-        assert_eq!(rec.worker_restarts, rec.containers_respawned);
         assert!(rec.worker_restarts >= rec.hangs_detected.min(1));
+        // Each respawn counts once toward the recovery-events total.
+        assert_eq!(
+            rec.total(),
+            rec.hangs_detected
+                + rec.worker_restarts
+                + rec.rounds_retried
+                + rec.rounds_salvaged
+                + rec.start_failures
+                + rec.quarantined_programs
+        );
         assert!(salvaged_rounds > 0);
         // All containers alive and running after all that.
         assert_eq!(obs.container_ids().len(), 3);

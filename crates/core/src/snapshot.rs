@@ -565,14 +565,13 @@ impl SnapshotBundle {
         let r = &self.recovery;
         let f = &self.faults;
         out.push_str(&format!(
-            "],\"stats\":{{\"recovery\":{{\"worker_restarts\":{},\"containers_respawned\":{},\
+            "],\"stats\":{{\"recovery\":{{\"worker_restarts\":{},\
              \"hangs_detected\":{},\"rounds_retried\":{},\"rounds_salvaged\":{},\
              \"start_failures\":{},\"quarantined_programs\":{}}},\
              \"faults\":{{\"start_fail\":{},\"cgroup_write_fail\":{},\"container_crash\":{},\
              \"exec_error\":{},\"executor_hang\":{},\"checkpoint_write_fail\":{}}}}},\
              \"forensics\":",
             r.worker_restarts,
-            r.containers_respawned,
             r.hangs_detected,
             r.rounds_retried,
             r.rounds_salvaged,
@@ -818,7 +817,6 @@ pub fn parse_snapshot(text: &str) -> Result<SnapshotBundle, SnapshotError> {
     let recovery_doc = need(stats, "recovery").map_err(parse_err)?;
     let recovery = RecoveryStats {
         worker_restarts: need_u64(recovery_doc, "worker_restarts").map_err(parse_err)?,
-        containers_respawned: need_u64(recovery_doc, "containers_respawned").map_err(parse_err)?,
         hangs_detected: need_u64(recovery_doc, "hangs_detected").map_err(parse_err)?,
         rounds_retried: need_u64(recovery_doc, "rounds_retried").map_err(parse_err)?,
         rounds_salvaged: need_u64(recovery_doc, "rounds_salvaged").map_err(parse_err)?,
@@ -1108,25 +1106,6 @@ pub fn load_checkpoint(path: &Path) -> Result<SnapshotBundle, SnapshotError> {
 /// checkpoint (the last corruption error is swallowed in favor of the
 /// uniform "nothing to resume from" signal callers branch on).
 pub fn load_latest(dir: &Path) -> Result<(SnapshotBundle, PathBuf), SnapshotError> {
-    load_latest_where(dir, |_| true)
-}
-
-/// Like [`load_latest`], but only considers bundles whose rendered config
-/// fragment equals `config` ([`render_campaign_config`]). This is the
-/// fleet-directory form: when checkpoints from *different* campaigns share
-/// one directory, the newest loadable bundle may belong to another tenant —
-/// filtering by config recovers the right campaign's chain.
-pub fn load_latest_matching(
-    dir: &Path,
-    config: &str,
-) -> Result<(SnapshotBundle, PathBuf), SnapshotError> {
-    load_latest_where(dir, |bundle| bundle.config == config)
-}
-
-fn load_latest_where(
-    dir: &Path,
-    accept: impl Fn(&SnapshotBundle) -> bool,
-) -> Result<(SnapshotBundle, PathBuf), SnapshotError> {
     let mut rounds: Vec<(u64, PathBuf)> = Vec::new();
     if let Ok(entries) = fs::read_dir(dir) {
         for entry in entries.flatten() {
@@ -1141,9 +1120,7 @@ fn load_latest_where(
     rounds.sort_by(|a, b| b.cmp(a));
     for (_, path) in rounds {
         if let Ok(bundle) = load_checkpoint(&path) {
-            if accept(&bundle) {
-                return Ok((bundle, path));
-            }
+            return Ok((bundle, path));
         }
     }
     Err(SnapshotError::NoCheckpoint {
@@ -1194,12 +1171,6 @@ pub fn import_corpus(text: &str, table: &[SyscallDesc]) -> Result<Corpus, Snapsh
         }
     }
     Ok(out)
-}
-
-/// Read a corpus export from disk (capped, typed errors).
-pub fn import_corpus_file(path: &Path, table: &[SyscallDesc]) -> Result<Corpus, SnapshotError> {
-    let text = read_text_capped(path, MAX_CORPUS_BYTES)?;
-    import_corpus(&text, table)
 }
 
 #[cfg(test)]

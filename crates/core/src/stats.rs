@@ -43,10 +43,9 @@ pub fn telemetry_saturation_section(telemetry: &Telemetry) -> String {
 /// with [`RecoveryStats::since`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Executors respawned after a hang.
+    /// Executors respawned after a hang: each tears down its container
+    /// and boots a fresh one.
     pub worker_restarts: u64,
-    /// Containers torn down and recreated for a respawned executor.
-    pub containers_respawned: u64,
     /// Executor hangs the supervisor handled (rolled by the fault plan).
     pub hangs_detected: u64,
     /// Rounds abandoned and retried from scratch.
@@ -63,7 +62,6 @@ impl RecoveryStats {
     /// Sum of all counters.
     pub fn total(&self) -> u64 {
         self.worker_restarts
-            + self.containers_respawned
             + self.hangs_detected
             + self.rounds_retried
             + self.rounds_salvaged
@@ -79,7 +77,6 @@ impl RecoveryStats {
     /// Add another counter set into this one.
     pub fn absorb(&mut self, other: &RecoveryStats) {
         self.worker_restarts += other.worker_restarts;
-        self.containers_respawned += other.containers_respawned;
         self.hangs_detected += other.hangs_detected;
         self.rounds_retried += other.rounds_retried;
         self.rounds_salvaged += other.rounds_salvaged;
@@ -91,9 +88,6 @@ impl RecoveryStats {
     pub fn since(&self, earlier: &RecoveryStats) -> RecoveryStats {
         RecoveryStats {
             worker_restarts: self.worker_restarts.saturating_sub(earlier.worker_restarts),
-            containers_respawned: self
-                .containers_respawned
-                .saturating_sub(earlier.containers_respawned),
             hangs_detected: self.hangs_detected.saturating_sub(earlier.hangs_detected),
             rounds_retried: self.rounds_retried.saturating_sub(earlier.rounds_retried),
             rounds_salvaged: self.rounds_salvaged.saturating_sub(earlier.rounds_salvaged),
@@ -198,14 +192,12 @@ impl CampaignStats {
             page.push_str(&format!(
                 "faults injected     {}\n\
                  worker restarts     {}\n\
-                 containers respawned {}\n\
                  hangs detected      {}\n\
                  rounds retried      {} ({} salvaged)\n\
                  start failures      {}\n\
                  quarantined progs   {}\n",
                 self.faults_injected.total(),
                 r.worker_restarts,
-                r.containers_respawned,
                 r.hangs_detected,
                 r.rounds_retried,
                 r.rounds_salvaged,
@@ -265,12 +257,12 @@ mod tests {
         };
         let ahead = RecoveryStats {
             worker_restarts: 3,
-            containers_respawned: 4,
+            start_failures: 4,
             ..RecoveryStats::default()
         };
         let delta = ahead.since(&behind);
         assert_eq!(delta.worker_restarts, 2);
-        assert_eq!(delta.containers_respawned, 4);
+        assert_eq!(delta.start_failures, 4);
         assert_eq!(delta.hangs_detected, 0, "must saturate, not underflow");
         // since(self) is identically zero.
         assert!(ahead.since(&ahead).is_zero());
@@ -284,7 +276,7 @@ mod tests {
             ..RecoveryStats::default()
         };
         let b = RecoveryStats {
-            containers_respawned: 2,
+            worker_restarts: 2,
             rounds_salvaged: 3,
             ..RecoveryStats::default()
         };

@@ -7,7 +7,7 @@
 //!
 //! The ledger is **not** visible to the fuzzing oracles — they see only the
 //! `/proc/stat` and `top` measurements, like the real TORPEDO. It is consumed
-//! by the *confirmation* stage ([`torpedo-core`]'s `confirm` module), playing
+//! by the *confirmation* stage (`torpedo-core`'s `confirm` module), playing
 //! the role of the paper's `ftrace`/`trace-cmd` function-graph analysis.
 
 use crate::cgroup::CgroupId;

@@ -4,7 +4,7 @@
 //! G-Fuzz-style directed greybox fuzzing needs a cheap, deterministic
 //! estimate of "how far" a candidate syscall is from the behaviour the
 //! campaign is hunting. The table gives us a natural interaction graph —
-//! two descriptions are adjacent when they share an [`InterfaceGroup`]
+//! two descriptions are adjacent when they share an [`InterfaceGroup`](crate::InterfaceGroup)
 //! or one produces a resource the other consumes — and the simulated
 //! kernel's deferral channels give us target sets: the syscalls whose
 //! semantics can trigger each channel. A single BFS from the target set

@@ -144,7 +144,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy [`vec`] returns.
+    /// The strategy [`vec()`] returns.
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

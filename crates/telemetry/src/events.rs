@@ -35,7 +35,7 @@ use crate::wire::{self, fnv64, JsonValue, LogParseError};
 /// Schema tag carried in the journal header and the `/events` response.
 pub const EVENTS_SCHEMA: &str = "torpedo-events-v1";
 
-/// Default live-tail ring capacity (events retained before overwrite).
+/// Live-tail ring capacity (events retained before overwrite).
 pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
 
 /// Hard cap on journaled events: the journal is rewritten whole on every
@@ -288,29 +288,28 @@ fn io_err(path: &Path) -> impl FnOnce(std::io::Error) -> EventError + '_ {
     }
 }
 
-/// Bounded live-tail ring. Tracks the total ever appended so `/events`
-/// cursors stay valid across overwrites.
+/// Live-tail ring of the last [`DEFAULT_EVENT_CAPACITY`] events. Tracks
+/// the total ever appended so `/events` cursors stay valid across
+/// overwrites.
 #[derive(Debug)]
 struct EventRing {
     events: VecDeque<Event>,
-    capacity: usize,
     appended: u64,
 }
 
 impl EventRing {
-    fn new(capacity: usize) -> EventRing {
+    fn new() -> EventRing {
         EventRing {
             // Empty until events arrive: a log holds only a few between
-            // barriers, and reserving `capacity` up front costs hundreds of
-            // KB per log.
+            // barriers, and reserving the whole capacity up front costs
+            // hundreds of KB per log.
             events: VecDeque::new(),
-            capacity: capacity.max(1),
             appended: 0,
         }
     }
 
     fn push(&mut self, event: Event) {
-        if self.events.len() == self.capacity {
+        if self.events.len() == DEFAULT_EVENT_CAPACITY {
             self.events.pop_front();
         }
         self.events.push_back(event);
@@ -401,17 +400,12 @@ impl EventLog {
         EventLog::default()
     }
 
-    /// An enabled in-memory log with the default ring capacity.
+    /// An enabled in-memory log retaining the last
+    /// [`DEFAULT_EVENT_CAPACITY`] events in its live-tail ring.
     pub fn enabled() -> EventLog {
-        EventLog::with_capacity(DEFAULT_EVENT_CAPACITY)
-    }
-
-    /// An enabled in-memory log retaining at most `capacity` events in
-    /// the live-tail ring.
-    pub fn with_capacity(capacity: usize) -> EventLog {
         EventLog {
             inner: Some(Arc::new(EventInner {
-                ring: Mutex::new(EventRing::new(capacity)),
+                ring: Mutex::new(EventRing::new()),
                 sink: Mutex::new(None),
             })),
             campaign: 0,
@@ -425,7 +419,7 @@ impl EventLog {
     /// [`EventError::Io`] when the journal directory cannot be created or
     /// the initial (empty) journal cannot be written.
     pub fn journaled(path: &Path) -> Result<EventLog, EventError> {
-        let log = EventLog::with_capacity(DEFAULT_EVENT_CAPACITY);
+        let log = EventLog::enabled();
         let mut sink = JournalSink {
             path: path.to_path_buf(),
             lines: Vec::new(),
@@ -766,29 +760,30 @@ mod tests {
 
     #[test]
     fn ring_overwrites_and_cursors_survive() {
-        let log = EventLog::with_capacity(4);
-        for seq in 0..10u64 {
+        let log = EventLog::enabled();
+        let total = DEFAULT_EVENT_CAPACITY as u64 + 6;
+        for seq in 0..total {
             log.emit(seq, seq, EventKind::RoundCompleted, seq, 0, "");
         }
-        assert_eq!(log.appended(), 10);
+        assert_eq!(log.appended(), total);
         let snap = log.snapshot();
-        assert_eq!(snap.len(), 4);
+        assert_eq!(snap.len(), DEFAULT_EVENT_CAPACITY);
         assert_eq!(snap[0].seq, 6);
         let (events, next, missed) = log.since(2);
-        assert_eq!(next, 10);
+        assert_eq!(next, total);
         assert_eq!(missed, 4); // positions 2..6 were overwritten
-        assert_eq!(events.len(), 4);
-        let (tail, next, missed) = log.since(9);
-        assert_eq!((tail.len(), next, missed), (1, 10, 0));
-        let body = wire::parse_json(&log.since_json(9)).unwrap();
-        assert_eq!(wire::need_u64(&body, "next"), Ok(10));
+        assert_eq!(events.len(), DEFAULT_EVENT_CAPACITY);
+        let (tail, next, missed) = log.since(total - 1);
+        assert_eq!((tail.len(), next, missed), (1, total, 0));
+        let body = wire::parse_json(&log.since_json(total - 1)).unwrap();
+        assert_eq!(wire::need_u64(&body, "next"), Ok(total));
         let entries = wire::need_array(&body, "events").unwrap();
         assert_eq!(Event::from_json(&entries[0]).unwrap(), tail[0]);
     }
 
     #[test]
     fn rings_allocate_on_demand() {
-        let ring = EventRing::new(DEFAULT_EVENT_CAPACITY);
+        let ring = EventRing::new();
         assert_eq!(ring.events.capacity(), 0);
     }
 

@@ -3,6 +3,12 @@
 //! syz-manager-style status endpoint (§2.6.2: "serves these statistics over a
 //! local HTTP server for human observers").
 //!
+//! The registry has one export, the Prometheus text exposition
+//! ([`prometheus_exposition`], served at `/metrics`), and one reader,
+//! [`check_exposition`], which validates a scraped body and returns its
+//! samples. The span journal's tail is served as a Chrome trace at
+//! `/trace.json`.
+//!
 //! The whole subsystem is opt-in. [`Telemetry::disabled`] returns a handle
 //! whose every method is a single `Option` branch — no clock reads, no
 //! allocation, no locking — so a campaign that never asks for telemetry pays
@@ -104,33 +110,31 @@ pub struct SpanEvent {
     pub dur_ns: u64,
 }
 
-/// Fixed-capacity ring buffer of [`SpanEvent`]s. Appends overwrite the oldest
-/// entry once full; `dropped` counts the overwritten events so exports can
-/// say how much history was lost.
+/// Ring buffer of the last [`DEFAULT_JOURNAL_CAPACITY`] [`SpanEvent`]s.
+/// Appends overwrite the oldest entry once full; `dropped` counts the
+/// overwritten events so exports can say how much history was lost.
 #[derive(Debug)]
 pub(crate) struct Journal {
     events: Vec<SpanEvent>,
-    capacity: usize,
     head: usize,
     recorded: u64,
 }
 
 impl Journal {
-    fn new(capacity: usize) -> Journal {
+    fn new() -> Journal {
         Journal {
-            events: Vec::with_capacity(capacity.max(1)),
-            capacity: capacity.max(1),
+            events: Vec::with_capacity(DEFAULT_JOURNAL_CAPACITY),
             head: 0,
             recorded: 0,
         }
     }
 
     fn push(&mut self, event: SpanEvent) {
-        if self.events.len() < self.capacity {
+        if self.events.len() < DEFAULT_JOURNAL_CAPACITY {
             self.events.push(event);
         } else {
             self.events[self.head] = event;
-            self.head = (self.head + 1) % self.capacity;
+            self.head = (self.head + 1) % DEFAULT_JOURNAL_CAPACITY;
         }
         self.recorded += 1;
     }
@@ -162,7 +166,7 @@ pub struct Telemetry {
     inner: Option<Arc<Inner>>,
 }
 
-/// Default journal capacity (events retained before overwrite).
+/// Journal capacity (events retained before overwrite).
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
 
 impl Telemetry {
@@ -172,17 +176,13 @@ impl Telemetry {
         Telemetry { inner: None }
     }
 
-    /// An enabled handle with the default journal capacity.
+    /// An enabled handle retaining the last [`DEFAULT_JOURNAL_CAPACITY`]
+    /// journal events.
     pub fn enabled() -> Telemetry {
-        Telemetry::with_journal_capacity(DEFAULT_JOURNAL_CAPACITY)
-    }
-
-    /// An enabled handle retaining at most `capacity` journal events.
-    pub fn with_journal_capacity(capacity: usize) -> Telemetry {
         Telemetry {
             inner: Some(Arc::new(Inner {
                 epoch: Instant::now(),
-                journal: Mutex::new(Journal::new(capacity)),
+                journal: Mutex::new(Journal::new()),
                 registry: Registry::new(),
             })),
         }
@@ -280,48 +280,6 @@ impl Telemetry {
         })
     }
 
-    /// Serialize every counter, histogram, span aggregate, and the recent
-    /// journal tail as a stable JSON document. The schema is exercised by the
-    /// `logfmt::parse_metrics` round-trip test.
-    pub fn export_json(&self) -> String {
-        match &self.inner {
-            None => "{\"schema\":\"torpedo-telemetry-v1\",\"enabled\":false}".to_string(),
-            Some(inner) => {
-                let journal = inner.journal.lock().unwrap_or_else(|e| e.into_inner());
-                let events = journal.ordered();
-                let dropped = journal.dropped();
-                let recorded = journal.recorded;
-                let capacity = journal.capacity;
-                drop(journal);
-
-                let mut out = String::with_capacity(4096);
-                out.push_str("{\"schema\":\"torpedo-telemetry-v1\",\"enabled\":true,");
-                inner.registry.write_json(&mut out);
-                out.push_str(",\"journal\":{");
-                out.push_str(&format!(
-                    "\"capacity\":{capacity},\"recorded\":{recorded},\"dropped\":{dropped},\"events\":["
-                ));
-                // Cap the exported tail so /metrics stays small even for a
-                // long campaign; the histograms carry the full distribution.
-                const EXPORT_TAIL: usize = 64;
-                let tail = &events[events.len().saturating_sub(EXPORT_TAIL)..];
-                for (i, ev) in tail.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"kind\":\"{}\",\"start_ns\":{},\"dur_ns\":{}}}",
-                        ev.kind.as_str(),
-                        ev.start_ns,
-                        ev.dur_ns
-                    ));
-                }
-                out.push_str("]}}");
-                out
-            }
-        }
-    }
-
     fn record_closed_span(inner: &Inner, kind: SpanKind, start: Instant, end: Instant) {
         let start_ns = start.duration_since(inner.epoch).as_nanos() as u64;
         let dur_ns = end.duration_since(start).as_nanos() as u64;
@@ -375,8 +333,8 @@ mod tests {
         assert_eq!(t.histogram(HistogramId::RoundLatencyNs).count, 0);
         assert!(t.journal_events().is_empty());
         assert_eq!(
-            t.export_json(),
-            "{\"schema\":\"torpedo-telemetry-v1\",\"enabled\":false}"
+            check_exposition(&prometheus_exposition(&t)),
+            Ok(vec![("torpedo_telemetry_enabled".to_string(), 0.0)])
         );
     }
 
@@ -394,20 +352,22 @@ mod tests {
         assert_eq!(events[1].kind, SpanKind::Round);
         let hist = t.histogram(HistogramId::RoundLatencyNs);
         assert_eq!(hist.count, 1);
-        assert!(t.export_json().contains("\"round_latency_ns\""));
+        assert!(prometheus_exposition(&t).contains("torpedo_round_latency_ns_count 1\n"));
     }
 
     #[test]
     fn journal_ring_overwrites_oldest() {
-        let t = Telemetry::with_journal_capacity(4);
-        for _ in 0..10 {
+        let t = Telemetry::enabled();
+        for _ in 0..DEFAULT_JOURNAL_CAPACITY + 6 {
             let _g = t.span(SpanKind::Exec);
         }
-        let events = t.journal_events();
-        assert_eq!(events.len(), 4);
-        let json = t.export_json();
-        assert!(json.contains("\"recorded\":10"));
-        assert!(json.contains("\"dropped\":6"));
+        assert_eq!(t.journal_events().len(), DEFAULT_JOURNAL_CAPACITY);
+        assert_eq!(t.journal_dropped(), 6);
+        let recorded = DEFAULT_JOURNAL_CAPACITY as u64 + 6;
+        assert_eq!(t.span_totals(SpanKind::Exec).0, recorded);
+        let text = prometheus_exposition(&t);
+        assert!(text.contains("torpedo_journal_dropped 6\n"), "{text}");
+        assert!(text.contains(&format!("torpedo_span_exec_count {recorded}\n")));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::{safe_div, SpanKind};
 
 /// Monotone counters. The discriminant is the registry slot; `ALL` fixes the
-/// export order so the JSON schema is stable across runs.
+/// export order so the exposition is stable across runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum CounterId {
@@ -247,59 +247,6 @@ impl Registry {
             overflow: cells.overflow.load(Ordering::Relaxed),
         }
     }
-
-    /// Append `"counters":{…},"histograms":{…},"spans":{…}` to `out`.
-    pub(crate) fn write_json(&self, out: &mut String) {
-        out.push_str("\"counters\":{");
-        for (i, id) in CounterId::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", id.as_str(), self.counter(*id)));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, id) in HistogramId::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let snap = self.snapshot(*id);
-            out.push_str(&format!("\"{}\":", id.as_str()));
-            write_histogram_json(out, *id, &snap);
-        }
-        out.push_str("},\"spans\":{");
-        for (i, kind) in SpanKind::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let cells = &self.spans[*kind as usize];
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"total_ns\":{}}}",
-                kind.as_str(),
-                cells.count.load(Ordering::Relaxed),
-                cells.total_ns.load(Ordering::Relaxed)
-            ));
-        }
-        out.push('}');
-    }
-}
-
-/// Serialize one histogram snapshot as JSON for the registry export.
-fn write_histogram_json(out: &mut String, id: HistogramId, snap: &HistogramSnapshot) {
-    out.push_str(&format!(
-        "{{\"unit\":\"{}\",\"count\":{},\"sum\":{},\"max\":{},\"mean\":{:.3},\"buckets\":[",
-        id.unit(),
-        snap.count,
-        snap.sum,
-        snap.max,
-        snap.mean
-    ));
-    for (i, (&bound, &count)) in id.bounds().iter().zip(snap.buckets.iter()).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"le\":{bound},\"count\":{count}}}"));
-    }
-    out.push_str(&format!("],\"overflow\":{}}}", snap.overflow));
 }
 
 #[cfg(test)]
@@ -355,16 +302,25 @@ mod tests {
 
     #[test]
     fn export_has_stable_keys() {
-        let reg = Registry::new();
-        reg.add(CounterId::ExecsTotal, 42);
-        let mut out = String::new();
-        reg.write_json(&mut out);
-        assert!(out.starts_with("\"counters\":{\"rounds_completed\":0,\"execs_total\":42"));
+        let t = crate::Telemetry::enabled();
+        t.add(CounterId::ExecsTotal, 42);
+        let text = crate::prometheus_exposition(&t);
+        let samples = crate::check_exposition(&text).unwrap();
+        let names: Vec<&str> = samples.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(
+            names[..3],
+            [
+                "torpedo_telemetry_enabled",
+                "torpedo_rounds_completed",
+                "torpedo_execs_total"
+            ]
+        );
+        assert_eq!(samples[2].1, 42.0);
         for id in HistogramId::ALL {
-            assert!(out.contains(id.as_str()));
+            assert!(names.contains(&format!("torpedo_{}_max", id.as_str()).as_str()));
         }
         for kind in SpanKind::ALL {
-            assert!(out.contains(kind.as_str()));
+            assert!(names.contains(&format!("torpedo_span_{}_count", kind.as_str()).as_str()));
         }
     }
 }

@@ -1,11 +1,15 @@
 //! Prometheus text exposition (format version 0.0.4) for the metrics
-//! registry, served at `/metrics.prom`. Counters map to `counter` families,
-//! histograms to native `histogram` families with *cumulative* `le` buckets,
-//! and p50/p90/p99 gauges are interpolated from the fixed power-of-4 buckets
-//! so dashboards get quantiles without PromQL `histogram_quantile` support.
+//! registry, served at `/metrics` (and at `/metrics.prom`, an alias kept for
+//! existing scrapers). Counters map to `counter` families, histograms to
+//! native `histogram` families with *cumulative* `le` buckets plus a `_max`
+//! gauge, and p50/p90/p99 gauges are interpolated from the fixed power-of-4
+//! buckets so dashboards get quantiles without PromQL `histogram_quantile`
+//! support.
 //!
-//! A small exposition-format checker lives here too; CI scrapes a live
-//! `/metrics.prom` endpoint and runs every line through it.
+//! The exposition's one reader lives here too: [`check_exposition`]
+//! validates a scraped body line by line and returns its samples, so tests
+//! and tooling read counters and histograms back through the same checker
+//! CI runs on a live endpoint.
 
 use crate::metrics::{CounterId, HistogramId, HistogramSnapshot};
 use crate::{SpanKind, Telemetry};
@@ -77,6 +81,13 @@ fn write_histogram(out: &mut String, id: HistogramId, snap: &HistogramSnapshot) 
         );
         out.push_str(&format!("{name}_{label} {value}\n"));
     }
+    write_family_header(
+        out,
+        &format!("{name}_max"),
+        "gauge",
+        &format!("Largest observed {}.", id.as_str()),
+    );
+    out.push_str(&format!("{name}_max {}\n", snap.max));
     // The saturation counter: observations past the last finite bucket.
     // Until now this only rendered as a text line on the status page; as a
     // counter family it is scrapeable and alertable.
@@ -150,20 +161,23 @@ pub fn prometheus_exposition(telemetry: &Telemetry) -> String {
     out
 }
 
-/// Validate a text exposition: every line must be a comment (`# …`) or a
-/// `name{labels} value` sample with a valid metric name and a finite float
-/// value, and every sample must belong to a family with a preceding
-/// `# TYPE` declaration — either exactly (counters, gauges) or via the
-/// `_bucket`/`_sum`/`_count` suffixes of a declared histogram or summary.
-/// Returns the first offending line on failure. This is a deliberately
-/// small subset of the format spec — enough to catch the classic mistakes
-/// (NaN values, bad names, missing or headerless series).
+/// Validate a text exposition and return its samples, in order, as
+/// `(series, value)` pairs, where the series is the metric name followed by
+/// its label set as written (`torpedo_execs_total`,
+/// `torpedo_round_latency_ns_bucket{le="1024"}`). Every line must be a
+/// comment (`# …`) or a `name{labels} value` sample with a valid metric
+/// name and a non-NaN float value, and every sample must belong to a family
+/// with a preceding `# TYPE` declaration — either exactly (counters,
+/// gauges) or via the `_bucket`/`_sum`/`_count` suffixes of a declared
+/// histogram or summary. Returns the first offending line on failure. This
+/// is a deliberately small subset of the format spec — enough to catch the
+/// classic mistakes (NaN values, bad names, missing or headerless series).
 ///
 /// The suffix rule is deliberately strict: an earlier version accepted any
 /// sample whose name merely *started with* a typed family, which let a
 /// headerless `foo_extra` series hide behind `# TYPE foo counter` and
 /// reach scrapers that then warn on every scrape.
-pub fn check_exposition(text: &str) -> Result<usize, String> {
+pub fn check_exposition(text: &str) -> Result<Vec<(String, f64)>, String> {
     fn valid_name(name: &str) -> bool {
         let mut chars = name.chars();
         match chars.next() {
@@ -187,7 +201,7 @@ pub fn check_exposition(text: &str) -> Result<usize, String> {
     }
 
     let mut typed_families: Vec<(String, String)> = Vec::new();
-    let mut samples = 0usize;
+    let mut samples = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim_end();
         if line.is_empty() {
@@ -220,15 +234,16 @@ pub fn check_exposition(text: &str) -> Result<usize, String> {
         if !valid_name(name) {
             return Err(format!("line {}: bad metric name {name:?}", lineno + 1));
         }
-        let rest = &line[name_end..];
-        let rest = if let Some(stripped) = rest.strip_prefix('{') {
-            let close = stripped
-                .find('}')
-                .ok_or_else(|| format!("line {}: unterminated label set", lineno + 1))?;
-            &stripped[close + 1..]
-        } else {
-            rest
+        let series_end = match line[name_end..].strip_prefix('{') {
+            Some(labels) => {
+                let close = labels
+                    .find('}')
+                    .ok_or_else(|| format!("line {}: unterminated label set", lineno + 1))?;
+                name_end + close + 2
+            }
+            None => name_end,
         };
+        let rest = &line[series_end..];
         let value_str = rest
             .split_whitespace()
             .next()
@@ -248,9 +263,9 @@ pub fn check_exposition(text: &str) -> Result<usize, String> {
                 lineno + 1
             ));
         }
-        samples += 1;
+        samples.push((line[..series_end].to_string(), value));
     }
-    if samples == 0 {
+    if samples.is_empty() {
         return Err("exposition contains no samples".to_string());
     }
     Ok(samples)
@@ -265,7 +280,56 @@ mod tests {
         let text = prometheus_exposition(&Telemetry::disabled());
         assert!(text.contains("torpedo_telemetry_enabled 0\n"));
         assert!(!text.contains("rounds_completed"));
-        assert_eq!(check_exposition(&text), Ok(1));
+        assert_eq!(
+            check_exposition(&text),
+            Ok(vec![("torpedo_telemetry_enabled".to_string(), 0.0)])
+        );
+    }
+
+    /// Everything the registry holds reads back through the checker:
+    /// counters, each histogram's count, sum, max and buckets, and the span
+    /// aggregates.
+    #[test]
+    fn exposition_samples_read_back_the_registry() {
+        let t = Telemetry::enabled();
+        t.add(CounterId::ExecsTotal, 41);
+        t.incr(CounterId::RoundsCompleted);
+        t.record_span_ns(SpanKind::Round, 2_000_000);
+        t.observe(HistogramId::ExecLatencyUs, 17);
+        t.record_span_ns(SpanKind::Exec, 900);
+        {
+            let _oracle = t.span(SpanKind::Oracle);
+        }
+        let samples = check_exposition(&prometheus_exposition(&t)).unwrap();
+        let value = |series: &str| {
+            samples
+                .iter()
+                .find(|(s, _)| s == series)
+                .map(|(_, v)| *v)
+                .unwrap_or_else(|| panic!("no sample {series}"))
+        };
+        assert_eq!(value("torpedo_telemetry_enabled"), 1.0);
+        assert_eq!(value("torpedo_execs_total"), 41.0);
+        assert_eq!(value("torpedo_rounds_completed"), 1.0);
+        for id in CounterId::ALL {
+            value(&format!("torpedo_{}", id.as_str()));
+        }
+        assert_eq!(value("torpedo_round_latency_ns_count"), 1.0);
+        assert_eq!(value("torpedo_round_latency_ns_sum"), 2_000_000.0);
+        assert_eq!(value("torpedo_round_latency_ns_max"), 2_000_000.0);
+        assert_eq!(value("torpedo_exec_latency_us_max"), 17.0);
+        let buckets = samples
+            .iter()
+            .filter(|(s, _)| s.starts_with("torpedo_round_latency_ns_bucket{"))
+            .count();
+        assert_eq!(buckets, crate::BUCKETS + 1, "finite buckets plus +Inf");
+        assert_eq!(value("torpedo_span_exec_count"), 1.0);
+        assert_eq!(value("torpedo_span_exec_total_ns"), 900.0);
+        // record_span_ns bypasses the journal: only the guarded oracle span
+        // landed there, and nothing was overwritten.
+        assert_eq!(value("torpedo_span_oracle_count"), 1.0);
+        assert_eq!(t.journal_events().len(), 1);
+        assert_eq!(value("torpedo_journal_dropped"), 0.0);
     }
 
     #[test]
@@ -283,7 +347,9 @@ mod tests {
         assert!(text.contains("torpedo_round_latency_ns_bucket{le=\"+Inf\"} 2\n"));
         assert!(text.contains("torpedo_round_latency_ns_count 2\n"));
         assert!(text.contains("torpedo_round_latency_ns_p50 "));
-        assert!(check_exposition(&text).unwrap() > 20);
+        assert!(text.contains("# TYPE torpedo_round_latency_ns_max gauge\n"));
+        assert!(text.contains("torpedo_round_latency_ns_max 2000\n"));
+        assert!(check_exposition(&text).unwrap().len() > 20);
     }
 
     #[test]
@@ -321,7 +387,12 @@ mod tests {
         assert!(check_exposition("# TYPE x counter\n9bad 1\n").is_err());
         assert!(check_exposition("untyped_sample 1\n").is_err());
         assert!(check_exposition("# TYPE x flavour\nx 1\n").is_err());
-        assert_eq!(check_exposition("# TYPE x counter\nx{le=\"5\"} 1\n"), Ok(1));
+        assert!(check_exposition("not an exposition").is_err());
+        assert!(check_exposition("# TYPE x counter\nx{le=\"5\" 1\n").is_err());
+        assert_eq!(
+            check_exposition("# TYPE x counter\nx{le=\"5\"} 1\n"),
+            Ok(vec![("x{le=\"5\"}".to_string(), 1.0)])
+        );
     }
 
     #[test]
@@ -331,7 +402,7 @@ mod tests {
         assert!(check_exposition("# TYPE x counter\nx_extra 1\n").is_err());
         // Histogram suffixes are legitimate only for histogram families…
         let hist = "# TYPE h histogram\nh_bucket{le=\"1\"} 0\nh_sum 0\nh_count 0\n";
-        assert_eq!(check_exposition(hist), Ok(3));
+        assert_eq!(check_exposition(hist).map(|samples| samples.len()), Ok(3));
         // …not for counters, and not arbitrary suffixes even then.
         assert!(check_exposition("# TYPE c counter\nc_bucket{le=\"1\"} 0\n").is_err());
         assert!(check_exposition("# TYPE h histogram\nh_overflow 1\n").is_err());
@@ -346,6 +417,6 @@ mod tests {
         assert!(text.contains("torpedo_exec_latency_us_overflow 1\n"));
         assert!(text.contains("# TYPE torpedo_journal_dropped counter\n"));
         // The strict checker must accept the whole real exposition.
-        assert!(check_exposition(&text).unwrap() > 20);
+        assert!(check_exposition(&text).unwrap().len() > 20);
     }
 }

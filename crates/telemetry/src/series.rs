@@ -193,7 +193,7 @@ impl Series {
     }
 
     /// A one-line-per-bucket sketch of one campaign's most recent
-    /// activity: "<last-event-kind> @r<round>" — the status-page column.
+    /// activity: `"<last-event-kind> @r<round>"` — the status-page column.
     pub fn last_activity(bucket: &Bucket) -> String {
         if !bucket.health.is_empty() {
             let detectors: Vec<&str> = bucket.health.keys().map(String::as_str).collect();

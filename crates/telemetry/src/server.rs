@@ -1,8 +1,11 @@
 //! The status endpoint: a hand-rolled HTTP/1.1 server on
-//! `std::net::TcpListener`, serving the campaign's text status page at `/`
-//! and the telemetry JSON export at `/metrics`. No external dependencies, no
-//! TLS, loopback-friendly — the same shape as syz-manager's local stats
-//! server (§2.6.2).
+//! `std::net::TcpListener`, serving the campaign's text status page at `/`,
+//! the Prometheus text exposition at `/metrics` (and at `/metrics.prom`, an
+//! alias for existing scrapers: both answer the same body), the Chrome trace
+//! at `/trace.json`, and, when mounted, the `/events` tail, the `/health`
+//! page and a `POST` control plane. No external dependencies, no TLS,
+//! loopback-friendly — the same shape as syz-manager's local stats server
+//! (§2.6.2).
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -52,7 +55,7 @@ impl std::fmt::Debug for StatusShared {
 
 impl StatusShared {
     /// Build shared state around a telemetry handle (which may be disabled;
-    /// `/metrics` then reports `"enabled":false`).
+    /// `/metrics` then reports `torpedo_telemetry_enabled 0`).
     pub fn new(telemetry: Telemetry) -> StatusShared {
         StatusShared {
             page: Mutex::new(String::from("TORPEDO campaign status\nno rounds yet\n")),
@@ -85,8 +88,8 @@ impl StatusShared {
     }
 
     /// Append a pre-rendered exposition chunk (fleet health gauges) to the
-    /// `/metrics.prom` output. The caller owns validity; the CI probe runs
-    /// the combined exposition through `check_exposition`.
+    /// `/metrics` output. The caller owns validity; tests run the combined
+    /// exposition through `check_exposition`.
     pub fn set_extra_prom(&self, chunk: String) {
         *self.extra_prom.lock().expect("status prom lock") = chunk;
     }
@@ -247,8 +250,7 @@ fn handle_connection(mut stream: TcpStream, shared: &StatusShared) -> io::Result
     let route = |path: &str, target: &str, wait: bool| -> (&'static str, &'static str, String) {
         match path {
             "/" | "/status" => ("200 OK", "text/plain; charset=utf-8", shared.page()),
-            "/metrics" => ("200 OK", "application/json", shared.telemetry.export_json()),
-            "/metrics.prom" => {
+            "/metrics" | "/metrics.prom" => {
                 let mut body = crate::prom::prometheus_exposition(&shared.telemetry);
                 body.push_str(&shared.extra_prom());
                 ("200 OK", "text/plain; version=0.0.4; charset=utf-8", body)
@@ -520,8 +522,9 @@ mod tests {
 
         let (head, body) = http_get(addr, "/metrics").unwrap();
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        assert!(head.contains("application/json"));
-        assert!(body.contains("\"rounds_completed\":1"), "{body}");
+        assert!(head.contains("text/plain; version=0.0.4"), "{head}");
+        let samples = crate::prom::check_exposition(&body).unwrap();
+        assert!(samples.contains(&("torpedo_rounds_completed".to_string(), 1.0)));
 
         let (head, _) = http_get(addr, "/nope").unwrap();
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
@@ -718,13 +721,18 @@ mod tests {
                 .to_string(),
         );
         let server = StatusServer::bind("127.0.0.1:0", Arc::clone(&shared)).unwrap();
-        let (head, body) = http_get(server.local_addr(), "/metrics.prom").unwrap();
+        let (head, body) = http_get(server.local_addr(), "/metrics").unwrap();
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        assert!(
-            body.contains("torpedo_fleet_health_findings{detector=\"coverage-plateau\"} 2\n"),
-            "{body}"
+        let samples = crate::prom::check_exposition(&body).unwrap();
+        assert!(samples.contains(&(
+            "torpedo_fleet_health_findings{detector=\"coverage-plateau\"}".to_string(),
+            2.0
+        )));
+        // `/metrics.prom` is an alias: the same head and body.
+        assert_eq!(
+            http_get(server.local_addr(), "/metrics.prom").unwrap(),
+            (head, body)
         );
-        crate::prom::check_exposition(&body).unwrap();
     }
 
     #[test]

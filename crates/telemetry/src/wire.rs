@@ -247,14 +247,6 @@ impl JsonValue {
         }
     }
 
-    /// The object members, in emission order.
-    pub fn as_object(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Object(members) => Some(members),
-            _ => None,
-        }
-    }
-
     /// The array elements.
     pub fn as_array(&self) -> Option<&[JsonValue]> {
         match self {
@@ -329,16 +321,6 @@ pub fn need_bool(doc: &JsonValue, key: &str) -> Result<bool, LogParseError> {
     need(doc, key)?
         .as_bool()
         .ok_or_else(|| invalid(format!("member '{key}' not a bool")))
-}
-
-/// [`need`] as an object's members, in order.
-pub fn need_object<'a>(
-    doc: &'a JsonValue,
-    key: &str,
-) -> Result<&'a [(String, JsonValue)], LogParseError> {
-    need(doc, key)?
-        .as_object()
-        .ok_or_else(|| invalid(format!("member '{key}' not an object")))
 }
 
 /// [`need`] as an array.

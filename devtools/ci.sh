@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# The CI gate: formatting, lints (clippy -D warnings), release build, the
-# throughput gate on the benchmark of record, the release-mode timing
-# check, the full test suite, the parser fuzz pass and results freshness.
+# The CI gate: formatting, lints (clippy -D warnings), warning-free docs,
+# release build, the throughput gate on the benchmark of record, the
+# release-mode timing check, the full test suite, the parser fuzz pass and
+# results freshness.
 # Nothing here writes a tracked file. The workspace has no crates.io
 # dependencies, so every step builds with no network.
 #
@@ -15,6 +16,9 @@ cargo fmt --all -- --check
 
 echo "ci: cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "ci: cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "ci: cargo build --release"
 cargo build --release --workspace

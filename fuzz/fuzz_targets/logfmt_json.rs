@@ -1,5 +1,5 @@
-//! Fuzz the logfmt surfaces: the JSON value parser, the round-log parser,
-//! and the metrics-snapshot parser. All three must return typed errors on
+//! Fuzz the text readers: the JSON value parser, the round-log parser, and
+//! the metrics exposition checker. All three must return errors on
 //! arbitrary input — any panic is a finding.
 
 #![no_main]
@@ -15,6 +15,6 @@ fuzz_target!(|data: &[u8]| {
     if let Ok(text) = std::str::from_utf8(data) {
         let _ = torpedo_core::parse_json(text);
         let _ = torpedo_core::parse_log(text, table());
-        let _ = torpedo_core::parse_metrics(text);
+        let _ = torpedo_telemetry::check_exposition(text);
     }
 });

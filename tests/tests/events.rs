@@ -3,8 +3,12 @@
 //! schedule, and must survive kill/resume byte-identically.
 
 use std::fs;
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread;
+use std::time::{Duration, Instant};
 
 use torpedo_prop::prelude::*;
 
@@ -16,7 +20,7 @@ use torpedo_core::seeds::{default_denylist, SeedCorpus};
 use torpedo_core::snapshot::checkpoint_file_name;
 use torpedo_core::{load_checkpoint, CheckpointConfig, HealthConfig};
 use torpedo_kernel::Usecs;
-use torpedo_oracle::CpuOracle;
+use torpedo_oracle::{CpuOracle, Observation, Oracle, Violation};
 use torpedo_prog::{build_table, MutatePolicy, SyscallDesc};
 use torpedo_telemetry::server::{fetch, StatusServer, StatusShared};
 use torpedo_telemetry::{
@@ -336,6 +340,116 @@ fn fleet_journal_folds_and_serves_the_observatory() {
     check_exposition(&prom).unwrap_or_else(|e| panic!("exposition violation: {e}\n{prom}"));
     assert!(prom.contains("torpedo_fleet_health_findings"), "{prom}");
     fs::remove_dir_all(&dir).ok();
+}
+
+/// A CPU oracle that holds the fleet once a health finding is on the fleet
+/// log. Findings are emitted at a generation barrier, after which the same
+/// barrier publishes the health gauges; so the hold lands in a later
+/// generation, and nothing the status endpoint serves changes until the
+/// gate opens.
+#[derive(Debug)]
+struct HoldAfterFinding {
+    inner: CpuOracle,
+    events: EventLog,
+    held: AtomicBool,
+    open: AtomicBool,
+}
+
+impl Oracle for HoldAfterFinding {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn score(&self, obs: &Observation) -> f64 {
+        let finding = self
+            .events
+            .snapshot()
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::HealthFinding(_)));
+        if finding {
+            self.held.store(true, Ordering::SeqCst);
+            while !self.open.load(Ordering::SeqCst) {
+                thread::sleep(Duration::from_millis(1));
+            }
+        }
+        self.inner.score(obs)
+    }
+
+    fn flag(&self, obs: &Observation) -> Vec<Violation> {
+        self.inner.flag(obs)
+    }
+}
+
+/// A live fleet with its health detectors firing serves one exposition at
+/// `/metrics` and at its `/metrics.prom` alias: the same head and body,
+/// valid under the checker, carrying the health gauges.
+#[test]
+fn fleet_serves_one_exposition_at_both_metrics_routes() {
+    let table: Arc<[SyscallDesc]> = build_table().into();
+    let addr: SocketAddr = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let events = EventLog::enabled();
+    let gate = Arc::new(HoldAfterFinding {
+        inner: CpuOracle::new(),
+        events: events.clone(),
+        held: AtomicBool::new(false),
+        open: AtomicBool::new(false),
+    });
+    let mut fleet = Fleet::new(FleetConfig {
+        workers: 2,
+        window_rounds: 2,
+        round_budget: 48,
+        status_addr: Some(addr.to_string()),
+        events,
+        // No simulated window meets this execution floor, so the
+        // throughput-stall detector fires at the first barrier.
+        health: Some(HealthConfig {
+            min_execs_per_round: 1_000_000,
+            ..HealthConfig::default()
+        }),
+        ..FleetConfig::default()
+    });
+    for i in 0..4 {
+        let mut spec = fleet_spec(i, &table);
+        spec.oracle = Arc::clone(&gate) as Arc<dyn Oracle + Send + Sync>;
+        fleet.admit(spec);
+    }
+    let probe = {
+        let gate = Arc::clone(&gate);
+        thread::spawn(move || {
+            let started = Instant::now();
+            while !gate.held.load(Ordering::SeqCst) && started.elapsed() < Duration::from_secs(60) {
+                thread::sleep(Duration::from_millis(5));
+            }
+            let held = gate.held.load(Ordering::SeqCst);
+            let fetched = held.then(|| (fetch(addr, "/metrics"), fetch(addr, "/metrics.prom")));
+            gate.open.store(true, Ordering::SeqCst);
+            fetched
+        })
+    };
+    let outcome = fleet.run().unwrap();
+    let (metrics, prom) = probe
+        .join()
+        .unwrap()
+        .expect("the fleet never reached a generation after a health finding");
+    assert!(!outcome.health.is_empty());
+    let (metrics, prom) = (metrics.unwrap(), prom.unwrap());
+    assert!(metrics.0.contains("200 OK"), "{}", metrics.0);
+    assert_eq!(
+        metrics, prom,
+        "/metrics and /metrics.prom must serve one body"
+    );
+    let samples = check_exposition(&metrics.1)
+        .unwrap_or_else(|e| panic!("exposition violation: {e}\n{}", metrics.1));
+    assert!(
+        samples.iter().any(|(series, count)| {
+            series == "torpedo_fleet_health_findings{detector=\"throughput-stall\"}" && *count > 0.0
+        }),
+        "{}",
+        metrics.1
+    );
 }
 
 /// Kill/resume with the journal attached: resuming from **every** round-r

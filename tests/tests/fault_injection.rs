@@ -79,7 +79,6 @@ fn faulty_campaign_completes_and_reports_recovery() {
     let rec = &report.recovery;
     assert!(rec.hangs_detected > 0, "12% hang rate must hit");
     assert!(rec.worker_restarts > 0);
-    assert_eq!(rec.worker_restarts, rec.containers_respawned);
     // The recovery events surface in the round logs and round-trip
     // through the on-disk format.
     let table = build_table();
@@ -222,9 +221,8 @@ proptest! {
         prop_assert!(report.rounds_total >= 4);
         prop_assert!(!report.logs.is_empty());
         let rec = &report.recovery;
-        // Salvage implies a detected hang; respawn pairs with restart.
+        // Salvage implies a detected hang.
         prop_assert!(rec.rounds_salvaged <= rec.hangs_detected);
-        prop_assert_eq!(rec.worker_restarts, rec.containers_respawned);
         // Counters in the report equal the sum of per-round deltas the
         // logs carry (modulo boot-time start failures, attributed to no
         // round, and end-of-run quarantine bookkeeping).

@@ -1,12 +1,12 @@
 //! Observability-layer integration tests: the status endpoint end to end
-//! over real TCP, the `/metrics` schema contract, and the zero-perturbation
-//! property — a campaign's results are byte-identical with telemetry on or
-//! off.
+//! over real TCP, the `/metrics` exposition read back through its checker,
+//! and the zero-perturbation property — a campaign's results are
+//! byte-identical with telemetry on or off.
 
 use torpedo_prop::prelude::*;
 
 use torpedo_core::campaign::{Campaign, CampaignConfig, CampaignReport};
-use torpedo_core::logfmt::{parse_metrics, write_round};
+use torpedo_core::logfmt::write_round;
 use torpedo_core::observer::ObserverConfig;
 use torpedo_core::seeds::{default_denylist, SeedCorpus};
 use torpedo_core::stats::CampaignStats;
@@ -14,7 +14,7 @@ use torpedo_kernel::Usecs;
 use torpedo_oracle::CpuOracle;
 use torpedo_prog::{build_table, SyscallDesc};
 use torpedo_telemetry::server::fetch;
-use torpedo_telemetry::{CounterId, Telemetry};
+use torpedo_telemetry::{check_exposition, CounterId, Telemetry};
 
 const SEED_POOL: [&str; 4] = [
     "sync()\n",
@@ -70,35 +70,29 @@ fn status_endpoint_serves_stats_and_metrics_end_to_end() {
         "{page}"
     );
 
-    // `/metrics` round-trips through the schema parser and carries the
-    // round-latency and exec-latency histograms.
+    // `/metrics` reads back through the exposition checker and carries
+    // the round-latency and exec-latency histograms.
     let (status, body) = fetch(addr, "/metrics").unwrap();
     assert!(status.contains("200 OK"), "{status}");
-    let snapshot = parse_metrics(&body).unwrap();
-    assert!(snapshot.enabled);
-    let hist = |name: &str| {
-        snapshot
-            .histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, h)| h.clone())
-            .unwrap_or_else(|| panic!("missing histogram {name}"))
-    };
-    assert_eq!(hist("round_latency_ns").count, report.rounds_total);
+    let samples: std::collections::BTreeMap<String, f64> =
+        check_exposition(&body).unwrap().into_iter().collect();
+    assert_eq!(samples["torpedo_telemetry_enabled"], 1.0);
+    let rounds = report.rounds_total as f64;
+    assert_eq!(samples["torpedo_round_latency_ns_count"], rounds);
+    assert!(samples["torpedo_round_latency_ns_max"] > 0.0);
     assert!(
-        hist("exec_latency_us").count > 0,
+        samples["torpedo_exec_latency_us_count"] > 0.0,
         "parallel rounds must record execution latencies"
     );
-    let counters: std::collections::BTreeMap<_, _> = snapshot.counters.iter().cloned().collect();
-    assert_eq!(counters["rounds_completed"], report.rounds_total);
-    assert!(counters["execs_total"] > 0);
+    assert_eq!(samples["torpedo_rounds_completed"], rounds);
+    assert!(samples["torpedo_execs_total"] > 0.0);
     assert_eq!(
-        counters["rounds_completed"],
-        telemetry.counter(CounterId::RoundsCompleted)
+        samples["torpedo_rounds_completed"],
+        telemetry.counter(CounterId::RoundsCompleted) as f64
     );
-    // The probe requests themselves are counted (this fetch sees the two
-    // fetches above already served).
-    assert!(counters["status_requests"] >= 1);
+    // The probe requests themselves are counted: the `/` fetch above and
+    // this one.
+    assert_eq!(samples["torpedo_status_requests"], 2.0);
 
     // Unknown routes 404, and the server survives to answer again.
     let (status, _) = fetch(addr, "/nope").unwrap();
