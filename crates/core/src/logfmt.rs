@@ -406,6 +406,17 @@ mod tests {
         assert!(parse_log("\n\n", &table).unwrap().is_empty());
     }
 
+    /// The default observer config's telemetry handle is disabled, so its
+    /// metrics export reads back as the enabled flag alone: no counters, no
+    /// histograms.
+    #[test]
+    fn disabled_metrics_export_parses_empty() {
+        use torpedo_telemetry::{check_exposition, prometheus_exposition};
+        let telemetry = ObserverConfig::default().telemetry;
+        let samples = check_exposition(&prometheus_exposition(&telemetry)).unwrap();
+        assert_eq!(samples, vec![("torpedo_telemetry_enabled".to_string(), 0.0)]);
+    }
+
     #[test]
     fn malformed_json_is_rejected() {
         assert!(parse_json("not json").is_err());
